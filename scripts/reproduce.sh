@@ -11,8 +11,9 @@ ctest --test-dir build 2>&1 | tee test_output.txt
 # TSAN=1 additionally runs the `parallel`-, `resilience`-, `obs`-, `simd`-,
 # `fabric`-, `ml`-, `scenario`-, and `tracing`-labeled determinism/race
 # suites — campaign engine, the live telemetry pipeline (event-ring producers
-# vs the aggregator drain and serve threads), the chunked batch engine with
-# its thread-local arenas, the Predictor's background trainer racing
+# vs the aggregator drain and serve threads), the chunked campaign engine with
+# its thread-local arenas and concurrent checkpoint snapshots, the
+# Predictor's background trainer racing
 # observers/scorers, the scenario engine's threaded composed campaigns, and
 # the distributed-tracing/flight-recorder paths (concurrent span id handoff,
 # the mmap'd flight ring's multi-writer cursor) — under ThreadSanitizer (the
@@ -34,7 +35,7 @@ fi
 
 # Smoke the -DLORE_SIMD=OFF build (the `simd-off` preset): the AVX2 kernel
 # variants compile out, dispatch clamps to scalar, and the differential
-# `simd` suite still proves the batch engine against the reference.
+# `simd` suite still proves the campaign engine against the per-trial oracle.
 if [ "${SIMD_OFF:-0}" = "1" ]; then
   cmake --preset simd-off
   cmake --build build-simd-off --target lore_simd_tests

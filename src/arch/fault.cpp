@@ -416,26 +416,24 @@ lore::CampaignSpec FaultInjector::resolved_spec(const lore::CampaignSpec& spec,
   return s;
 }
 
+FaultRecord FaultInjector::campaign_trial(const BatchContext& ctx, FaultTarget target,
+                                          std::uint64_t seed, lore::Rng& rng,
+                                          const lore::CancelToken& cancel) const {
+  cancel.throw_if_cancelled();
+  FaultRecord rec = inject_batched(ctx, scratch_for(ctx), random_site(rng, target));
+  rec.trial_seed = seed;
+  return rec;
+}
+
 lore::CampaignCheckpoint FaultInjector::campaign_shard(const lore::CampaignSpec& spec,
                                                        lore::TrialRange range,
                                                        FaultTarget target) const {
   LORE_OBS_SPAN(span, "campaign.arch_shard");
   const lore::CampaignSpec s = resolved_spec(spec, target);
-  if (lore::campaign_batch_enabled()) {
-    const BatchContext ctx{workload_, golden_, build_golden_trace()};
-    return lore::run_campaign_shard<FaultRecord, FaultRecordCodec>(
-        s, range, [&](std::size_t t, lore::Rng& rng, const lore::CancelToken&) {
-          FaultRecord rec =
-              inject_batched(ctx, scratch_for(ctx), random_site(rng, target));
-          rec.trial_seed = lore::trial_seed(s.base_seed, t);
-          return rec;
-        });
-  }
+  const BatchContext ctx{workload_, golden_, build_golden_trace()};
   return lore::run_campaign_shard<FaultRecord, FaultRecordCodec>(
-      s, range, [&](std::size_t t, lore::Rng& rng, const lore::CancelToken&) {
-        FaultRecord rec = inject(random_site(rng, target));
-        rec.trial_seed = lore::trial_seed(s.base_seed, t);
-        return rec;
+      s, range, [&](std::size_t t, lore::Rng& rng, const lore::CancelToken& cancel) {
+        return campaign_trial(ctx, target, lore::trial_seed(s.base_seed, t), rng, cancel);
       });
 }
 
@@ -449,24 +447,11 @@ lore::CampaignResult<FaultRecord> FaultInjector::campaign_run(
   LORE_OBS_SPAN(span, "campaign.arch");
   LORE_OBS_TIMER(timer, "campaign.arch_us");
   const lore::CampaignSpec s = resolved_spec(spec, target);
-  lore::CampaignResult<FaultRecord> result;
-  if (lore::campaign_uses_batch(s)) {
-    const BatchContext ctx{workload_, golden_, build_golden_trace()};
-    result = lore::run_campaign_batched<FaultRecord, FaultRecordCodec>(
-        s, [&](std::size_t t, lore::Rng& rng, const lore::CancelToken&) {
-          FaultRecord rec = inject_batched(ctx, scratch_for(ctx), random_site(rng, target));
-          rec.trial_seed = lore::trial_seed(s.base_seed, t);
-          return rec;
-        });
-  } else {
-    result = lore::run_campaign<FaultRecord, FaultRecordCodec>(
-        s, [&](std::size_t t, lore::Rng& rng, const lore::CancelToken& cancel) {
-          cancel.throw_if_cancelled();
-          FaultRecord rec = inject(random_site(rng, target));
-          rec.trial_seed = lore::trial_seed(s.base_seed, t);
-          return rec;
-        });
-  }
+  const BatchContext ctx{workload_, golden_, build_golden_trace()};
+  auto result = lore::run_campaign<FaultRecord, FaultRecordCodec>(
+      s, [&](std::size_t t, lore::Rng& rng, const lore::CancelToken& cancel) {
+        return campaign_trial(ctx, target, lore::trial_seed(s.base_seed, t), rng, cancel);
+      });
   count_completed_outcomes("campaign.arch", result);
   return result;
 }
@@ -474,12 +459,9 @@ lore::CampaignResult<FaultRecord> FaultInjector::campaign_run(
 lore::CampaignResult<FaultRecord> FaultInjector::campaign_run_pruned(
     const lore::CampaignSpec& spec, FaultTarget target, ml::Predictor& predictor,
     const PruneCampaignOptions& opt) const {
-  const lore::CampaignSpec s = resolved_spec(spec, target);
-  // The reference engine never prunes; keep its exact semantics.
-  if (!lore::campaign_uses_batch(s)) return campaign_run(spec, target);
-
   LORE_OBS_SPAN(span, "campaign.arch_pruned");
   LORE_OBS_TIMER(timer, "campaign.arch_us");
+  const lore::CampaignSpec s = resolved_spec(spec, target);
   const BatchContext ctx{workload_, golden_, build_golden_trace()};
   const FaultSiteFeaturizer featurizer(workload_, golden_.cycles);
   const double threshold = opt.benign_threshold >= 0.0
@@ -525,12 +507,10 @@ lore::CampaignResult<FaultRecord> FaultInjector::campaign_run_pruned(
                       rec.outcome == Outcome::kBenign);
   };
 
-  auto result = lore::run_campaign_pruned<FaultRecord, FaultRecordCodec>(
+  auto result = lore::run_campaign<FaultRecord, FaultRecordCodec>(
       s,
-      [&](std::size_t t, lore::Rng& rng, const lore::CancelToken&) {
-        FaultRecord rec = inject_batched(ctx, scratch_for(ctx), random_site(rng, target));
-        rec.trial_seed = lore::trial_seed(s.base_seed, t);
-        return rec;
+      [&](std::size_t t, lore::Rng& rng, const lore::CancelToken& cancel) {
+        return campaign_trial(ctx, target, lore::trial_seed(s.base_seed, t), rng, cancel);
       },
       hooks);
   count_completed_outcomes("campaign.arch", result);

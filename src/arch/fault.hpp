@@ -112,8 +112,8 @@ class FaultInjector {
   /// current snapshot; predicted-benign trials are skipped as
   /// `TrialStatus::kPruned` except for the seeded audit fraction. Executed
   /// trials feed back into the predictor, so the model improves while the
-  /// campaign runs. Falls back to the full (never-pruning) engine when the
-  /// batched fast path is off or the spec is not plain.
+  /// campaign runs. Valid under any spec: checkpointed, deadlined and
+  /// budgeted campaigns prune the same way.
   CampaignResult<FaultRecord> campaign_run_pruned(const CampaignSpec& spec,
                                                   FaultTarget target,
                                                   ml::Predictor& predictor,
@@ -159,6 +159,11 @@ class FaultInjector {
   static BatchScratch& scratch_for(const BatchContext& ctx);
   FaultRecord inject_batched(const BatchContext& ctx, BatchScratch& scratch,
                              const FaultSite& site) const;
+  /// The one campaign trial body: draw a site from `rng`, inject it on the
+  /// batched path, and stamp the record with its replay seed.
+  FaultRecord campaign_trial(const BatchContext& ctx, FaultTarget target,
+                             std::uint64_t seed, lore::Rng& rng,
+                             const lore::CancelToken& cancel) const;
 
   void prepare_cpu(Cpu& cpu) const;
 

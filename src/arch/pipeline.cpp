@@ -506,6 +506,17 @@ FaultRecord make_pipeline_record(const PipelineFaultSite& site, Outcome outcome,
   return rec;
 }
 
+/// The one pipeline campaign trial body: draw a latch site from `rng`,
+/// inject it on the batched path, and stamp the record with its replay seed.
+FaultRecord pipeline_campaign_trial(const PipeBatchContext& ctx, std::uint64_t total_cycles,
+                                    std::uint64_t seed, lore::Rng& rng,
+                                    const lore::CancelToken& cancel) {
+  cancel.throw_if_cancelled();
+  const PipelineFaultSite site = draw_pipeline_site(rng, total_cycles);
+  return make_pipeline_record(
+      site, pipeline_inject_batched(ctx, pipe_scratch_for(ctx), site), seed);
+}
+
 lore::CampaignSpec pipeline_spec_with_domain(const Workload& w,
                                              const lore::CampaignSpec& spec,
                                              std::uint64_t total_cycles) {
@@ -530,23 +541,12 @@ CampaignCheckpoint pipeline_campaign_shard(const Workload& w, const CampaignSpec
   const std::uint64_t total_cycles = pipeline_probe_cycles(w);
   const lore::CampaignSpec s = pipeline_spec_with_domain(w, spec, total_cycles);
   const std::uint64_t budget = 4 * w.max_cycles + 64;
-  if (lore::campaign_batch_enabled()) {
-    const GoldenRun golden = run_golden(w);
-    const PipeBatchContext ctx{w, golden, budget,
-                               build_pipeline_trace(w, budget, total_cycles)};
-    return lore::run_campaign_shard<FaultRecord, PipelineRecordCodec>(
-        s, range, [&](std::size_t t, lore::Rng& rng, const lore::CancelToken&) {
-          const PipelineFaultSite site = draw_pipeline_site(rng, total_cycles);
-          return make_pipeline_record(
-              site, pipeline_inject_batched(ctx, pipe_scratch_for(ctx), site),
-              lore::trial_seed(s.base_seed, t));
-        });
-  }
+  const GoldenRun golden = run_golden(w);
+  const PipeBatchContext ctx{w, golden, budget, build_pipeline_trace(w, budget, total_cycles)};
   return lore::run_campaign_shard<FaultRecord, PipelineRecordCodec>(
-      s, range, [&](std::size_t t, lore::Rng& rng, const lore::CancelToken&) {
-        const PipelineFaultSite site = draw_pipeline_site(rng, total_cycles);
-        return make_pipeline_record(site, pipeline_inject(w, site),
-                                    lore::trial_seed(s.base_seed, t));
+      s, range, [&](std::size_t t, lore::Rng& rng, const lore::CancelToken& cancel) {
+        return pipeline_campaign_trial(ctx, total_cycles, lore::trial_seed(s.base_seed, t),
+                                       rng, cancel);
       });
 }
 
@@ -562,30 +562,16 @@ CampaignResult<FaultRecord> pipeline_campaign_run(const Workload& w,
   const std::uint64_t total_cycles = pipeline_probe_cycles(w);
   const lore::CampaignSpec s = pipeline_spec_with_domain(w, spec, total_cycles);
 
+  // Golden output and the instrumented clean-run trace are built once per
+  // campaign; every trial restores from them.
   const std::uint64_t budget = 4 * w.max_cycles + 64;
-  lore::CampaignResult<FaultRecord> result;
-  if (lore::campaign_uses_batch(s)) {
-    // Golden output and the instrumented clean-run trace are hoisted out of
-    // the trial loop; the reference body recomputes both per trial.
-    const GoldenRun golden = run_golden(w);
-    const PipeBatchContext ctx{w, golden, budget,
-                               build_pipeline_trace(w, budget, total_cycles)};
-    result = lore::run_campaign_batched<FaultRecord, PipelineRecordCodec>(
-        s, [&](std::size_t t, lore::Rng& rng, const lore::CancelToken&) {
-          const PipelineFaultSite site = draw_pipeline_site(rng, total_cycles);
-          return make_pipeline_record(
-              site, pipeline_inject_batched(ctx, pipe_scratch_for(ctx), site),
-              lore::trial_seed(s.base_seed, t));
-        });
-  } else {
-    result = lore::run_campaign<FaultRecord, PipelineRecordCodec>(
-        s, [&](std::size_t t, lore::Rng& rng, const lore::CancelToken& cancel) {
-          cancel.throw_if_cancelled();
-          const PipelineFaultSite site = draw_pipeline_site(rng, total_cycles);
-          return make_pipeline_record(site, pipeline_inject(w, site),
-                                      lore::trial_seed(s.base_seed, t));
-        });
-  }
+  const GoldenRun golden = run_golden(w);
+  const PipeBatchContext ctx{w, golden, budget, build_pipeline_trace(w, budget, total_cycles)};
+  auto result = lore::run_campaign<FaultRecord, PipelineRecordCodec>(
+      s, [&](std::size_t t, lore::Rng& rng, const lore::CancelToken& cancel) {
+        return pipeline_campaign_trial(ctx, total_cycles, lore::trial_seed(s.base_seed, t),
+                                       rng, cancel);
+      });
   if (result.report.complete()) {
     count_campaign_outcomes("campaign.pipeline", result.records);
   } else {

@@ -1,10 +1,9 @@
 #include "src/common/campaign.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
-#include <mutex>
 #include <thread>
 
 #include "src/obs/obs.hpp"
@@ -51,42 +50,6 @@ void warn_checkpoint(std::string_view source, const char* reason) {
 }
 
 }  // namespace
-
-namespace {
-
-/// LORE_SIMD_SCALAR=1 forces the full scalar/per-trial reference path: the
-/// batched engine starts disabled alongside the SIMD kernels (one switch,
-/// one bit-identity contract — DESIGN.md §11).
-bool batch_enabled_from_env() {
-  const char* env = std::getenv("LORE_SIMD_SCALAR");
-  return !(env && *env && *env != '0');
-}
-
-std::atomic<bool> g_batch_enabled{batch_enabled_from_env()};
-
-}  // namespace
-
-bool campaign_batch_enabled() { return g_batch_enabled.load(std::memory_order_relaxed); }
-
-void set_campaign_batch_enabled(bool on) {
-  g_batch_enabled.store(on, std::memory_order_relaxed);
-}
-
-std::size_t resolve_trial_chunk(std::size_t requested) {
-  if (requested > 0) return requested;
-  static const std::size_t env_chunk = [] {
-    const char* env = std::getenv("LORE_TRIAL_CHUNK");
-    if (!env || !*env) return std::size_t{0};
-    const long v = std::atol(env);
-    return v > 0 ? static_cast<std::size_t>(v) : std::size_t{0};
-  }();
-  return env_chunk > 0 ? env_chunk : 256;
-}
-
-bool plain_campaign_spec(const CampaignSpec& spec) {
-  return spec.checkpoint_path.empty() && spec.trial_deadline.count() == 0 &&
-         spec.overall_budget.count() == 0 && spec.max_trials_per_run == 0;
-}
 
 const char* trial_status_name(TrialStatus s) {
   switch (s) {
@@ -249,17 +212,6 @@ std::optional<CampaignCheckpoint> decode_checkpoint(std::string_view bytes,
   }
 }
 
-#ifdef LORE_CHECKPOINT_DISABLED
-
-bool write_checkpoint(const std::string&, const CampaignCheckpoint&) { return false; }
-
-std::optional<CampaignCheckpoint> load_checkpoint(const std::string&,
-                                                  const CampaignSpec&) {
-  return std::nullopt;
-}
-
-#else
-
 bool write_checkpoint(const std::string& path, const CampaignCheckpoint& ck) {
   const std::string bytes = encode_checkpoint(ck);
 
@@ -292,8 +244,6 @@ std::optional<CampaignCheckpoint> load_checkpoint(const std::string& path,
   std::fclose(f);
   return decode_checkpoint(bytes, spec, path);
 }
-
-#endif  // LORE_CHECKPOINT_DISABLED
 
 std::vector<TrialRange> shard_trial_ranges(std::size_t trials, std::size_t shard_count) {
   std::vector<TrialRange> out;
@@ -336,258 +286,167 @@ std::size_t merge_checkpoint_entries(CampaignCheckpoint& into,
 
 namespace campaign_detail {
 
-CampaignCheckpoint run_campaign_shard_raw(const CampaignSpec& spec, TrialRange range,
-                                          const RawTrialFn& trial) {
-  CampaignCheckpoint ck;
-  ck.identity = spec.identity_hash();
-  ck.build_tag = checkpoint_build_tag();
-  ck.trials = spec.trials;
-  if (range.end > spec.trials) range.end = spec.trials;
-  if (range.begin >= range.end) return ck;
-
-  const std::size_t n = range.size();
-  const bool obs_on = obs::kCompiledIn && obs::enabled();
-  // Carry the caller's trace position (the worker's shard span) into the
-  // parallel bodies so per-trial events land under the right span — in the
-  // live ring AND the flight recorder, where they form the last-N record of
-  // what this worker was doing if it dies mid-shard.
-  const obs::TraceContext trace_ctx = obs::current_trace_context();
-  ck.entries.resize(n);
-  parallel_for(n, spec.threads, [&](std::size_t j) {
-    obs::TraceContextScope trace_scope(trace_ctx);
-    const std::size_t idx = range.begin + j;
-    for (unsigned attempt = 0;; ++attempt) {
-      if (attempt > 0) {
-        std::this_thread::sleep_for(spec.retry_backoff * (1u << (attempt - 1)));
-        LORE_OBS_EVENT(obs::EventKind::kTrialRetry, idx, attempt);
-      }
-      try {
-        // Fresh stream per attempt, seeded from the *global* trial index —
-        // the invariant that makes a sharded run merge bit-identical to a
-        // single-process one.
-        const double t0 = obs::TraceRecorder::now_us();
-        Rng rng(trial_seed(spec.base_seed, idx));
-        ck.entries[j] = {static_cast<std::uint64_t>(idx),
-                         trial(idx, rng, CancelToken())};
-        LORE_OBS_EVENT(obs::EventKind::kTrialCompleted, idx,
-                       obs::TraceRecorder::now_us() - t0);
-        // The fabric coordinator derives fleet throughput from scraping this
-        // counter off each worker's /metrics endpoint.
-        if (obs_on)
-          obs::MetricsRegistry::global().counter("campaign.trials_completed").add(1);
-        return;
-      } catch (...) {
-        LORE_OBS_EVENT(obs::EventKind::kTrialFailed, idx, attempt);
-        if (attempt >= spec.max_retries) throw;  // shard fails as a unit
-      }
-    }
-  });
-  return ck;
+std::size_t derive_chunk(std::size_t trials, unsigned threads,
+                         std::size_t checkpoint_every) {
+  constexpr std::size_t kMaxChunk = 256;
+  const std::size_t team = resolve_threads(threads, trials);
+  std::size_t chunk =
+      team <= 1 ? kMaxChunk : std::clamp<std::size_t>(trials / (team * 8), 1, kMaxChunk);
+  if (checkpoint_every > 0) chunk = std::min(chunk, checkpoint_every);
+  return chunk;
 }
 
-RawResult run_campaign_raw(const CampaignSpec& spec, const RawTrialFn& trial) {
-  using Clock = CancelToken::Clock;
-  const auto t_start = Clock::now();
-  const std::size_t n = spec.trials;
+TrialPlan::TrialPlan(TrialRange range) { add(range.begin, range.end); }
 
-  RawResult res;
-  res.payloads.resize(n);
-  res.status.assign(n, TrialStatus::kSkipped);
-  res.report.trials = n;
+TrialPlan TrialPlan::missing(std::span<const TrialStatus> status, std::size_t cap) {
+  TrialPlan plan;
+  const std::size_t limit = cap ? cap : status.size();
+  for (std::size_t i = 0; i < status.size() && plan.size_ < limit;) {
+    if (status[i] == TrialStatus::kOk) {
+      ++i;
+      continue;
+    }
+    std::size_t end = i + 1;
+    while (end < status.size() && status[end] != TrialStatus::kOk &&
+           plan.size_ + (end - i) < limit)
+      ++end;
+    plan.add(i, end);
+    i = end;
+  }
+  return plan;
+}
 
-  const bool checkpointing =
-      kCheckpointCompiledIn && !spec.checkpoint_path.empty() && spec.checkpoint_every > 0;
+void TrialPlan::add(std::size_t begin, std::size_t end) {
+  if (begin >= end) return;
+  runs_.push_back({begin, end});
+  starts_.push_back(size_);
+  size_ += end - begin;
+}
 
-  // `done[i]` is the publication flag of slot i: the owning worker stores the
-  // payload, then releases the flag; the checkpoint writer acquires it before
-  // reading the slot. Resumed slots are published before workers start.
-  std::unique_ptr<std::atomic<std::uint8_t>[]> done(new std::atomic<std::uint8_t>[n]);
-  for (std::size_t i = 0; i < n; ++i) done[i].store(0, std::memory_order_relaxed);
-
-  if (checkpointing) {
-    if (auto ck = load_checkpoint(spec.checkpoint_path, spec)) {
-      for (auto& e : ck->entries) {
-        const auto i = static_cast<std::size_t>(e.trial);
-        if (res.status[i] == TrialStatus::kOk) continue;  // duplicate entry
-        res.payloads[i] = std::move(e.payload);
-        res.status[i] = TrialStatus::kOk;
-        done[i].store(1, std::memory_order_relaxed);
-        ++res.report.resumed;
-      }
-      res.report.loaded_checkpoint = true;
+RunState::RunState(const CampaignSpec& spec, bool pruning, bool checkpointing)
+    : spec_(spec), pruning_(pruning) {
+  if (checkpointing) published_.reset(new std::atomic<std::uint8_t>[spec.trials]());
+  if (obs::kCompiledIn && obs::enabled()) {
+    auto& registry = obs::MetricsRegistry::global();
+    registry_ = &registry;
+    completed_counter_ = &registry.counter("campaign.trials_completed");
+    progress_gauge_ = &registry.gauge("campaign.progress");
+    if (pruning) {
+      pruned_counter_ = &registry.counter("campaign.trials_pruned");
+      audit_counter_ = &registry.counter("campaign.prune_audits");
+      false_benign_counter_ = &registry.counter("campaign.prune_false_benign");
     }
   }
+}
 
-  std::vector<std::size_t> missing;
-  missing.reserve(n - res.report.resumed);
-  for (std::size_t i = 0; i < n; ++i)
-    if (res.status[i] != TrialStatus::kOk) missing.push_back(i);
-  if (spec.max_trials_per_run && missing.size() > spec.max_trials_per_run)
-    missing.resize(spec.max_trials_per_run);
+void RunState::retry(std::size_t index, unsigned attempt) {
+  retries_.fetch_add(1, std::memory_order_relaxed);
+  if (registry_) registry_->counter("campaign.retries").add(1);
+  LORE_OBS_EVENT(obs::EventKind::kTrialRetry, index, attempt);
+  std::this_thread::sleep_for(spec_.retry_backoff * (1u << (attempt - 1)));
+}
 
-  std::atomic<std::size_t> completed{res.report.resumed};
-  std::atomic<std::size_t> newly_completed{0};
-  std::atomic<std::size_t> retries{0}, timeout_attempts{0}, suppressed{0};
-  std::atomic<std::size_t> checkpoints_written{0};
-  std::atomic<std::size_t> since_checkpoint{0};
-  std::mutex io_mu;    // serializes checkpoint writes
-  std::mutex err_mu;   // guards first_error
-  std::string first_error;
+void RunState::timed_out(std::size_t index, unsigned attempt) {
+  timeout_attempts_.fetch_add(1, std::memory_order_relaxed);
+  if (registry_) registry_->counter("campaign.timeouts").add(1);
+  LORE_OBS_EVENT(obs::EventKind::kTrialTimeout, index, attempt);
+}
 
-  const bool obs_on = obs::kCompiledIn && obs::enabled();
-  if (obs_on) {
-    obs::MetricsRegistry::global().counter("campaign.trials_resumed")
-        .add(res.report.resumed);
-    obs::MetricsRegistry::global().gauge("campaign.progress")
-        .set(n ? static_cast<double>(res.report.resumed) / static_cast<double>(n) : 1.0);
+void RunState::failed(std::size_t index, unsigned attempt, const char* what) {
+  suppressed_.fetch_add(1, std::memory_order_relaxed);
+  if (registry_) registry_->counter("campaign.trial_failures").add(1);
+  LORE_OBS_EVENT(obs::EventKind::kTrialFailed, index, attempt);
+  std::lock_guard lock(error_mu_);
+  if (first_error_.empty()) first_error_ = what;
+}
+
+void RunState::resumed(std::size_t count) {
+  done_.store(count, std::memory_order_relaxed);
+  if (!registry_) return;
+  registry_->counter("campaign.trials_resumed").add(count);
+  progress_gauge_->set(spec_.trials ? static_cast<double>(count) /
+                                          static_cast<double>(spec_.trials)
+                                    : 1.0);
+}
+
+bool RunState::end_chunk(std::size_t begin, const ChunkTally& t,
+                         PruneController* controller) {
+  if (t.pruned) {
+    if (controller) controller->record_pruned(t.pruned);
+    if (pruned_counter_) pruned_counter_->add(t.pruned);
+    // Prune decisions as structured events (not just a counter): a = trials
+    // pruned in this chunk, value = first trial index of the chunk — enough
+    // for intervals, traces, and the post-mortem toolkit to reconstruct
+    // which ranges were skipped and under which span.
+    LORE_OBS_EVENT(obs::EventKind::kTrialsPruned, t.pruned, static_cast<double>(begin));
   }
+  if (t.audits) {
+    audits_.fetch_add(t.audits, std::memory_order_relaxed);
+    if (audit_counter_) audit_counter_->add(t.audits);
+  }
+  if (t.false_benign) {
+    false_benign_.fetch_add(t.false_benign, std::memory_order_relaxed);
+    if (false_benign_counter_) false_benign_counter_->add(t.false_benign);
+  }
+  if (t.ok == 0) return false;
+  fresh_.fetch_add(t.ok, std::memory_order_relaxed);
+  const auto done = done_.fetch_add(t.ok, std::memory_order_relaxed) + t.ok;
+  if (registry_) {
+    completed_counter_->add(t.ok);
+    progress_gauge_->set(static_cast<double>(done) / static_cast<double>(spec_.trials));
+  }
+  if (!checkpointing() ||
+      since_snapshot_.fetch_add(t.ok, std::memory_order_relaxed) + t.ok <
+          spec_.checkpoint_every)
+    return false;
+  since_snapshot_.store(0, std::memory_order_relaxed);
+  return true;
+}
 
-  // Snapshot every published slot into the checkpoint file. Runs concurrently
-  // with trial execution: unpublished slots are simply absent from this
-  // snapshot and appear in the next one.
-  const auto write_snapshot = [&] {
-    CampaignCheckpoint ck;
-    ck.identity = spec.identity_hash();
-    ck.build_tag = checkpoint_build_tag();
-    ck.trials = n;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (done[i].load(std::memory_order_acquire) == 0) continue;
-      ck.entries.push_back({static_cast<std::uint64_t>(i), res.payloads[i]});
-    }
-    const auto w0 = Clock::now();
-    if (write_checkpoint(spec.checkpoint_path, ck)) {
-      checkpoints_written.fetch_add(1, std::memory_order_relaxed);
-      const double us =
-          std::chrono::duration<double, std::micro>(Clock::now() - w0).count();
-      LORE_OBS_EVENT(obs::EventKind::kCheckpointWritten, ck.entries.size(), us);
-      if (obs_on) {
-        auto& reg = obs::MetricsRegistry::global();
-        reg.histogram("campaign.checkpoint_write_us").observe(us);
-        reg.counter("campaign.checkpoints").add(1);
-        // ETA from this run's own throughput (resumed trials cost nothing).
-        const auto fresh = newly_completed.load(std::memory_order_relaxed);
-        const auto total_done = completed.load(std::memory_order_relaxed);
-        if (fresh > 0 && total_done < n) {
-          const double elapsed_s =
-              std::chrono::duration<double>(Clock::now() - t_start).count();
-          reg.gauge("campaign.eta_s")
-              .set(elapsed_s / static_cast<double>(fresh) *
-                   static_cast<double>(n - total_done));
-        }
-      }
-    }
+void RunState::write_snapshot(const CampaignCheckpoint& ck) {
+  const auto w0 = Clock::now();
+  if (!write_checkpoint(spec_.checkpoint_path, ck)) return;
+  checkpoints_written_.fetch_add(1, std::memory_order_relaxed);
+  const double us = std::chrono::duration<double, std::micro>(Clock::now() - w0).count();
+  LORE_OBS_EVENT(obs::EventKind::kCheckpointWritten, ck.entries.size(), us);
+  if (!registry_) return;
+  registry_->histogram("campaign.checkpoint_write_us").observe(us);
+  registry_->counter("campaign.checkpoints").add(1);
+  // ETA from this run's own throughput (resumed trials cost nothing).
+  const auto fresh = fresh_.load(std::memory_order_relaxed);
+  const auto done = done_.load(std::memory_order_relaxed);
+  if (fresh > 0 && done < spec_.trials) {
+    const double elapsed_s = std::chrono::duration<double>(Clock::now() - start_).count();
+    registry_->gauge("campaign.eta_s")
+        .set(elapsed_s / static_cast<double>(fresh) *
+             static_cast<double>(spec_.trials - done));
+  }
+}
+
+void RunState::finish(CampaignReport& rep, std::span<const TrialStatus> status,
+                      const PruneController* controller) {
+  const auto bytes = std::span<const std::uint8_t>(
+      reinterpret_cast<const std::uint8_t*>(status.data()), status.size());
+  const auto count = [&](TrialStatus s) {
+    return kernels::count_equal_u8(bytes, static_cast<std::uint8_t>(s));
   };
-
-  // Annotate every trial event with the caller's ambient span (campaign or
-  // scenario-stage span) across the thread hop into the pool.
-  const obs::TraceContext trace_ctx = obs::current_trace_context();
-  parallel_for(missing.size(), spec.threads, [&](std::size_t j) {
-    obs::TraceContextScope trace_scope(trace_ctx);
-    const std::size_t idx = missing[j];
-    if (spec.overall_budget.count() > 0 && Clock::now() - t_start >= spec.overall_budget)
-      return;  // stays kSkipped; a resume picks it up
-
-    bool last_was_timeout = false;
-    for (unsigned attempt = 0; attempt <= spec.max_retries; ++attempt) {
-      if (attempt > 0) {
-        retries.fetch_add(1, std::memory_order_relaxed);
-        if (obs_on)
-          obs::MetricsRegistry::global().counter("campaign.retries").add(1);
-        LORE_OBS_EVENT(obs::EventKind::kTrialRetry, idx, attempt);
-        std::this_thread::sleep_for(spec.retry_backoff * (1u << (attempt - 1)));
-      }
-      const CancelToken cancel =
-          spec.trial_deadline.count() > 0
-              ? CancelToken::with_deadline(Clock::now() + spec.trial_deadline)
-              : CancelToken();
-      const auto a0 = Clock::now();
-      try {
-        // A fresh stream per attempt: a retried trial replays the exact
-        // stream of its first attempt, keeping resumed/retried campaigns
-        // bit-identical to uninterrupted ones.
-        Rng rng(trial_seed(spec.base_seed, idx));
-        std::string payload = trial(idx, rng, cancel);
-        res.payloads[idx] = std::move(payload);
-        res.status[idx] = TrialStatus::kOk;
-        done[idx].store(1, std::memory_order_release);
-        completed.fetch_add(1, std::memory_order_relaxed);
-        newly_completed.fetch_add(1, std::memory_order_relaxed);
-        if (obs_on) {
-          auto& reg = obs::MetricsRegistry::global();
-          reg.counter("campaign.trials_completed").add(1);
-          reg.gauge("campaign.progress")
-              .set(static_cast<double>(completed.load(std::memory_order_relaxed)) /
-                   static_cast<double>(n));
-        }
-        LORE_OBS_EVENT(
-            obs::EventKind::kTrialCompleted, idx,
-            (std::chrono::duration<double, std::micro>(Clock::now() - a0).count()));
-        if (checkpointing &&
-            since_checkpoint.fetch_add(1, std::memory_order_relaxed) + 1 >=
-                spec.checkpoint_every) {
-          since_checkpoint.store(0, std::memory_order_relaxed);
-          // Only one writer at a time; if another write is in flight the next
-          // interval catches this batch.
-          if (io_mu.try_lock()) {
-            write_snapshot();
-            io_mu.unlock();
-          }
-        }
-        return;
-      } catch (const TrialTimeout&) {
-        last_was_timeout = true;
-        timeout_attempts.fetch_add(1, std::memory_order_relaxed);
-        if (obs_on)
-          obs::MetricsRegistry::global().counter("campaign.timeouts").add(1);
-        LORE_OBS_EVENT(obs::EventKind::kTrialTimeout, idx, attempt);
-      } catch (const std::exception& e) {
-        last_was_timeout = false;
-        suppressed.fetch_add(1, std::memory_order_relaxed);
-        if (obs_on)
-          obs::MetricsRegistry::global().counter("campaign.trial_failures").add(1);
-        LORE_OBS_EVENT(obs::EventKind::kTrialFailed, idx, attempt);
-        std::lock_guard lock(err_mu);
-        if (first_error.empty()) first_error = e.what();
-      } catch (...) {
-        last_was_timeout = false;
-        suppressed.fetch_add(1, std::memory_order_relaxed);
-        if (obs_on)
-          obs::MetricsRegistry::global().counter("campaign.trial_failures").add(1);
-        LORE_OBS_EVENT(obs::EventKind::kTrialFailed, idx, attempt);
-        std::lock_guard lock(err_mu);
-        if (first_error.empty()) first_error = "unknown trial exception";
-      }
-    }
-    res.status[idx] = last_was_timeout ? TrialStatus::kTimeout : TrialStatus::kFailed;
-  });
-
-  // Final snapshot so an interrupt between intervals loses nothing, and a
-  // finished campaign's checkpoint replays instantly on the next invocation.
-  if (checkpointing && newly_completed.load(std::memory_order_relaxed) > 0) {
-    std::lock_guard lock(io_mu);
-    write_snapshot();
-  }
-
-  auto& rep = res.report;
-  for (const auto s : res.status) {
-    switch (s) {
-      case TrialStatus::kOk: break;
-      case TrialStatus::kTimeout: ++rep.timeouts; break;
-      case TrialStatus::kFailed: ++rep.failed; break;
-      case TrialStatus::kSkipped: ++rep.skipped; break;
-      case TrialStatus::kPruned: ++rep.pruned; break;  // reference engine never prunes
-    }
-  }
-  rep.completed = completed.load(std::memory_order_relaxed);
-  rep.retries = retries.load(std::memory_order_relaxed);
-  rep.timeout_attempts = timeout_attempts.load(std::memory_order_relaxed);
-  rep.suppressed_exceptions = suppressed.load(std::memory_order_relaxed);
-  rep.checkpoints_written = checkpoints_written.load(std::memory_order_relaxed);
-  rep.first_error = std::move(first_error);
-  if (obs_on)
-    obs::MetricsRegistry::global().gauge("campaign.progress")
-        .set(n ? static_cast<double>(rep.completed) / static_cast<double>(n) : 1.0);
-  return res;
+  rep.completed = count(TrialStatus::kOk);
+  rep.timeouts = count(TrialStatus::kTimeout);
+  rep.failed = count(TrialStatus::kFailed);
+  rep.skipped = count(TrialStatus::kSkipped);
+  rep.pruned = count(TrialStatus::kPruned);
+  rep.prune_audits = audits_.load(std::memory_order_relaxed);
+  rep.prune_false_benign = false_benign_.load(std::memory_order_relaxed);
+  rep.prune_disabled = pruning_ && controller != nullptr && controller->tripped();
+  rep.retries = retries_.load(std::memory_order_relaxed);
+  rep.timeout_attempts = timeout_attempts_.load(std::memory_order_relaxed);
+  rep.suppressed_exceptions = suppressed_.load(std::memory_order_relaxed);
+  rep.checkpoints_written = checkpoints_written_.load(std::memory_order_relaxed);
+  rep.first_error = std::move(first_error_);
+  if (progress_gauge_)
+    progress_gauge_->set(spec_.trials ? static_cast<double>(rep.completed) /
+                                            static_cast<double>(spec_.trials)
+                                      : 1.0);
 }
 
 }  // namespace campaign_detail

@@ -5,39 +5,46 @@
 // A `CampaignSpec` names everything about a campaign: its identity (trial
 // count, base seed, a domain fingerprint) and its resilience policy (worker
 // threads, per-trial deadline, overall budget, retry/backoff, checkpoint path
-// and interval). `run_campaign<Record>` executes it on top of the
-// deterministic engine of parallel.hpp and adds what a multi-hour production
-// run needs to survive preemption, hangs, and crashes:
+// and interval). `run_campaign<Record>` executes it on one chunked executor
+// over `parallel_for_chunks` (DESIGN.md §9, §11); every resilience feature a
+// multi-hour production run needs to survive preemption, hangs, and crashes
+// is a stage of that loop:
 //
-//  * checkpoint/resume — completed trial payloads are periodically written to
-//    an atomically-renamed, CRC-guarded file; on start a matching checkpoint
-//    (identity hash + build tag) is loaded and only the missing trial indices
-//    re-run. Because every trial's RNG stream is a pure function of
-//    (base_seed, index), a resumed campaign is bit-identical to an
-//    uninterrupted one at any thread count.
+//  * checkpoint/resume — completed records are snapshotted at chunk
+//    boundaries into an atomically-renamed, CRC-guarded file; on start a
+//    matching checkpoint (identity hash + build tag) is loaded and only the
+//    missing trial indices re-run. Because every trial's RNG stream is a
+//    pure function of (base_seed, index), a resumed campaign is bit-identical
+//    to an uninterrupted one at any thread count.
 //  * per-trial deadlines — each attempt gets a `CancelToken`; bodies poll it
 //    (`throw_if_cancelled`) and a timed-out trial is retried with exponential
 //    backoff, then recorded as `TrialStatus::kTimeout` instead of aborting
 //    the run. Trial exceptions are likewise retried, tallied, and degraded
 //    into the final `CampaignReport`.
+//  * budget and per-run cap — bounded invocations that leave the rest
+//    kSkipped for the next resume.
+//  * predict-and-prune (DESIGN.md §13) and the fabric's shard range (§12).
 //  * observability — trials-complete counters, checkpoint-write histogram,
 //    timeout/retry counters and an ETA gauge through `src/obs`.
 //
 // The convention for campaign call sites (see DESIGN.md §9): each domain
 // exposes `<name>_run(..., const CampaignSpec&, <Options>)` returning records
 // plus the `CampaignReport`, and a thin `<name>(...)` convenience returning
-// just the domain payload. (The legacy `Rng&`-drawing overloads were removed
-// after every in-repo caller migrated; the compat pins in
-// tests/resilience/campaign_compat_test.cpp cover the modern entry points.)
+// just the domain payload.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <exception>
 #include <functional>
+#include <limits>
+#include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -52,17 +59,6 @@
 #include "src/obs/obs.hpp"
 
 namespace lore {
-
-/// True when checkpoint persistence is compiled in. With -DLORE_CHECKPOINT=OFF
-/// (which defines LORE_CHECKPOINT_DISABLED) the file I/O half of the runtime
-/// compiles down to a pass-through: `write_checkpoint` fails benignly,
-/// `load_checkpoint` always reports "no checkpoint", and campaigns simply run
-/// start-to-finish like plain `parallel_for_trials`.
-#ifdef LORE_CHECKPOINT_DISABLED
-inline constexpr bool kCheckpointCompiledIn = false;
-#else
-inline constexpr bool kCheckpointCompiledIn = true;
-#endif
 
 /// Final disposition of one trial in a campaign.
 enum class TrialStatus : std::uint8_t {
@@ -388,108 +384,6 @@ CampaignResult<Record> result_from_checkpoint(const CampaignSpec& spec,
   return out;
 }
 
-// ---------------------------------------------------------------------------
-// Engine
-
-namespace campaign_detail {
-
-/// Type-erased core: trial bodies return their record pre-serialized, so the
-/// whole checkpoint/deadline/retry machinery lives in one non-template
-/// translation unit.
-using RawTrialFn = std::function<std::string(std::size_t, Rng&, const CancelToken&)>;
-
-struct RawResult {
-  std::vector<std::string> payloads;
-  std::vector<TrialStatus> status;
-  CampaignReport report;
-};
-
-RawResult run_campaign_raw(const CampaignSpec& spec, const RawTrialFn& trial);
-
-/// Worker half of the fabric hand-off: run trials [range.begin, range.end)
-/// of `spec` — each seeded `trial_seed(spec.base_seed, global_index)`, the
-/// same contract as run_campaign — and return their encoded payloads as a
-/// LORECKP1-ready checkpoint (identity + build tag filled in, one entry per
-/// trial in index order). Failed trials retry up to spec.max_retries times
-/// with backoff; a trial that still fails propagates its exception, failing
-/// the shard as a unit (the coordinator re-dispatches it).
-CampaignCheckpoint run_campaign_shard_raw(const CampaignSpec& spec, TrialRange range,
-                                          const RawTrialFn& trial);
-
-}  // namespace campaign_detail
-
-/// Typed wrapper over `run_campaign_shard_raw`: encode each record of the
-/// sub-range through `Codec`, exactly as run_campaign's checkpoint writer
-/// would.
-template <typename Record, typename Codec = PodCodec<Record>, typename TrialFn>
-CampaignCheckpoint run_campaign_shard(const CampaignSpec& spec, TrialRange range,
-                                      TrialFn&& trial) {
-  return campaign_detail::run_campaign_shard_raw(
-      spec, range, [&](std::size_t i, Rng& rng, const CancelToken& cancel) {
-        ByteWriter w;
-        Codec::encode(w, trial(i, rng, cancel));
-        return std::move(w).take();
-      });
-}
-
-/// Run a campaign under `spec`. `trial(i, rng, cancel)` computes the record of
-/// trial `i` from an rng seeded with `trial_seed(spec.base_seed, i)` — the
-/// identical contract to `parallel_for_trials`, so results are bit-identical
-/// for every thread count, across interrupt/resume, and across retries.
-template <typename Record, typename Codec = PodCodec<Record>>
-CampaignResult<Record> run_campaign(
-    const CampaignSpec& spec,
-    const std::function<Record(std::size_t, Rng&, const CancelToken&)>& trial) {
-  const auto raw = campaign_detail::run_campaign_raw(
-      spec, [&](std::size_t i, Rng& rng, const CancelToken& cancel) {
-        ByteWriter w;
-        Codec::encode(w, trial(i, rng, cancel));
-        return std::move(w).take();
-      });
-  CampaignResult<Record> out;
-  out.records.resize(spec.trials);
-  for (std::size_t i = 0; i < spec.trials; ++i) {
-    if (raw.status[i] != TrialStatus::kOk) continue;
-    ByteReader r(raw.payloads[i]);
-    out.records[i] = Codec::decode(r);
-  }
-  out.status = raw.status;
-  out.report = raw.report;
-  return out;
-}
-
-// ---------------------------------------------------------------------------
-// Batched (allocation-free) campaign execution — DESIGN.md §11.
-
-/// Runtime switch for the batched fast path (initialized from the
-/// environment: LORE_SIMD_SCALAR=1 starts it off, forcing the legacy
-/// per-trial reference path everywhere). The differential suite toggles this
-/// to prove batched == reference bit-identically.
-bool campaign_batch_enabled();
-void set_campaign_batch_enabled(bool on);
-
-/// Chunk-size resolution: explicit request > LORE_TRIAL_CHUNK environment
-/// variable > 256. Always >= 1.
-std::size_t resolve_trial_chunk(std::size_t requested);
-
-/// True when `spec` carries no resilience policy that requires the
-/// serializing reference engine: no checkpointing, no per-trial deadline, no
-/// overall budget, no per-run trial cap. Such "plain" specs are eligible for
-/// the batched fast path.
-bool plain_campaign_spec(const CampaignSpec& spec);
-
-/// True when `run_campaign_batched` would take the fast path for `spec`.
-inline bool campaign_uses_batch(const CampaignSpec& spec) {
-  return campaign_batch_enabled() && plain_campaign_spec(spec);
-}
-
-struct BatchOptions {
-  /// Trials per chunk (0 = resolve_trial_chunk default).
-  std::size_t chunk = 0;
-  /// Force the serializing reference engine regardless of spec/switch — the
-  /// differential test hook.
-  bool force_reference = false;
-};
 
 // ---------------------------------------------------------------------------
 // Online predict-and-prune stage (DESIGN.md §13).
@@ -558,9 +452,8 @@ class PruneController {
   std::atomic<bool> tripped_{false};
 };
 
-/// Prune-stage hooks for `run_campaign_pruned`. With no `predict` hook the
-/// engine degenerates to `run_campaign_batched` exactly. `predict` scores one
-/// chunk's trials — `benign[i - begin] = 1` marks trial i predicted-benign —
+/// Prune-stage hooks for `run_campaign`. With no `predict` hook nothing is
+/// pruned. `predict` scores one contiguous run of a chunk's trials — `benign[i - begin] = 1` marks trial i predicted-benign —
 /// from whatever descriptor the domain derives from the trial seed (the seed
 /// span holds `trial_seed(spec.base_seed, i)` for the chunk, the same seeds
 /// the trial bodies will draw). `is_benign` maps an executed Record to ground
@@ -584,198 +477,359 @@ struct PruneHooks {
   PruneController* controller = nullptr;
 };
 
-/// Batched campaign executor with an optional predict-and-prune stage. Same
-/// record/status/report contract and the same per-trial semantics as
-/// `run_campaign` — an *executed* trial `i` always computes from a fresh Rng
-/// seeded with `trial_seed(spec.base_seed, i)`, failed trials retry up to
-/// `spec.max_retries` times with backoff, and executed results are
-/// bit-identical for every thread count AND to the reference engine. What
-/// changes is the execution shape: plain specs (see `plain_campaign_spec`)
-/// run in chunks of trials claimed by `parallel_for_chunks`, per-chunk seed
-/// buffers come from the thread-local Arena and the batched seed kernel, and
-/// records are written straight into their slots — no per-trial
-/// encode/decode round trip, no per-trial heap traffic, no per-trial ring
-/// events (progress counters are maintained per chunk; the Aggregator's
-/// trials/s rates derive from counter deltas and keep working).
-///
-/// The prune stage (DESIGN.md §13) runs when `hooks.predict` is set: each
-/// chunk is scored before execution, predicted-benign trials are skipped
-/// with `TrialStatus::kPruned` (value-initialized record), except for a
-/// seeded audit fraction that executes anyway so the live false-benign rate
-/// stays measurable. Which trials are pruned is a pure function of
-/// (predictions, audit_seed) — never of thread or chunk boundaries — so
-/// `audit_fraction = 1.0` reproduces prune=off outcomes bit-identically at
-/// any thread count. A tripped PruneController stops pruning on chunks that
-/// score after the trip; trials already marked kPruned stay pruned.
-///
-/// Non-plain specs and `force_reference` fall back to `run_campaign`
-/// wholesale (checkpoint/resume, deadlines, and budgets keep their exact
-/// semantics) — the reference engine never prunes, so hooks are ignored on
-/// that path and every trial executes.
-template <typename Record, typename Codec = PodCodec<Record>, typename TrialFn>
-CampaignResult<Record> run_campaign_pruned(const CampaignSpec& spec, TrialFn&& trial,
-                                           const PruneHooks<Record>& hooks,
-                                           const BatchOptions& opt = {}) {
-  if (opt.force_reference || !campaign_batch_enabled() || !plain_campaign_spec(spec)) {
-    return run_campaign<Record, Codec>(
-        spec, std::function<Record(std::size_t, Rng&, const CancelToken&)>(
-                  std::forward<TrialFn>(trial)));
-  }
-  const std::size_t n = spec.trials;
-  CampaignResult<Record> out;
-  out.records.resize(n);
-  out.status.assign(n, TrialStatus::kSkipped);
-  out.report.trials = n;
-  if (n == 0) return out;
+// ---------------------------------------------------------------------------
+// Engine
 
-  std::atomic<std::size_t> retries{0}, suppressed{0};
-  std::atomic<std::size_t> audits{0}, false_benign{0};
-  std::mutex err_mu;
-  std::string first_error;
-  const std::size_t chunk = resolve_trial_chunk(opt.chunk);
+namespace campaign_detail {
+
+/// Trials per chunk when the caller pins none: about eight chunks per worker
+/// so uneven trial costs balance (a single worker takes the maximum), at
+/// most 256 so a chunk's seed and score scratch stays small, and at most
+/// `checkpoint_every` (when non-zero) so snapshots land on that interval.
+std::size_t derive_chunk(std::size_t trials, unsigned threads,
+                         std::size_t checkpoint_every);
+
+/// The trial indices one invocation runs: ascending, disjoint, contiguous
+/// runs addressed by position [0, size()), so `parallel_for_chunks` can split
+/// them at deterministic boundaries without a chunk ever straddling a gap.
+class TrialPlan {
+ public:
+  /// Every index of `range`.
+  explicit TrialPlan(TrialRange range);
+  /// The indices whose status is not kOk, limited to the first `cap` of them
+  /// (0 = no limit).
+  static TrialPlan missing(std::span<const TrialStatus> status, std::size_t cap);
+
+  std::size_t size() const { return size_; }
+
+  /// `fn(begin, end)` for each contiguous index run covering positions
+  /// [pos, pos_end).
+  template <typename Fn>
+  void for_each_run(std::size_t pos, std::size_t pos_end, Fn&& fn) const {
+    auto r = static_cast<std::size_t>(
+        std::upper_bound(starts_.begin(), starts_.end(), pos) - starts_.begin() - 1);
+    while (pos < pos_end) {
+      const std::size_t begin = runs_[r].begin + (pos - starts_[r]);
+      const std::size_t end = std::min(runs_[r].end, begin + (pos_end - pos));
+      fn(begin, end);
+      pos += end - begin;
+      ++r;
+    }
+  }
+
+ private:
+  TrialPlan() = default;
+  void add(std::size_t begin, std::size_t end);
+
+  std::vector<TrialRange> runs_;
+  std::vector<std::size_t> starts_;  // position of runs_[k].begin
+  std::size_t size_ = 0;
+};
+
+/// Per-chunk tallies, folded into the RunState once per chunk.
+struct ChunkTally {
+  std::size_t ok = 0, pruned = 0, audits = 0, false_benign = 0;
+};
+
+/// The non-template half of the executor: atomic tallies, the first
+/// suppressed error, obs instruments resolved once, and checkpoint
+/// publication. Per-trial work touches it only on retries, timeouts and
+/// failures; everything else is folded in once per chunk.
+class RunState {
+ public:
+  using Clock = CancelToken::Clock;
+
+  /// `checkpointing` allocates one publication flag per trial of `spec`.
+  RunState(const CampaignSpec& spec, bool pruning, bool checkpointing);
+
+  Clock::time_point start() const { return start_; }
+
+  /// Count retry `attempt` (>= 1) of trial `index` and sleep its backoff.
+  void retry(std::size_t index, unsigned attempt);
+  void timed_out(std::size_t index, unsigned attempt);
+  void failed(std::size_t index, unsigned attempt, const char* what);
+
+  /// Mark trials restored from a checkpoint (before any chunk runs).
+  void resumed(std::size_t count);
+  /// Fold one finished chunk in. True when a checkpoint snapshot is due.
+  bool end_chunk(std::size_t begin, const ChunkTally& t, PruneController* controller);
+
+  /// Checkpoint publication: a slot's record is stored before its flag is
+  /// released, and a snapshot reads only acquired slots, so snapshots can
+  /// run alongside chunk execution.
+  bool checkpointing() const { return published_ != nullptr; }
+  void publish(std::size_t i) { published_[i].store(1, std::memory_order_release); }
+  bool published(std::size_t i) const {
+    return published_[i].load(std::memory_order_acquire) != 0;
+  }
+  /// Serializes snapshot writes; chunks only try-lock it, so a busy writer
+  /// never stalls the trial loop (the next due snapshot catches up).
+  std::mutex& snapshot_mutex() { return snapshot_mu_; }
+  /// Write `ck` to the spec's checkpoint path and record the write.
+  void write_snapshot(const CampaignCheckpoint& ck);
+  /// True when this invocation completed at least one trial.
+  bool fresh() const { return fresh_.load(std::memory_order_relaxed) > 0; }
+
+  /// Tally statuses and counters into `rep`.
+  void finish(CampaignReport& rep, std::span<const TrialStatus> status,
+              const PruneController* controller);
+
+ private:
+  const CampaignSpec& spec_;
+  const Clock::time_point start_ = Clock::now();
+  std::unique_ptr<std::atomic<std::uint8_t>[]> published_;
+  std::mutex snapshot_mu_;
+  std::mutex error_mu_;
+  std::string first_error_;
+  std::atomic<std::size_t> retries_{0}, timeout_attempts_{0}, suppressed_{0};
+  std::atomic<std::size_t> audits_{0}, false_benign_{0};
+  std::atomic<std::size_t> done_{0}, fresh_{0}, since_snapshot_{0};
+  std::atomic<std::size_t> checkpoints_written_{0};
+  bool pruning_ = false;
+  obs::MetricsRegistry* registry_ = nullptr;  // null while obs is off
+  obs::Counter* completed_counter_ = nullptr;
+  obs::Gauge* progress_gauge_ = nullptr;
+  obs::Counter* pruned_counter_ = nullptr;
+  obs::Counter* audit_counter_ = nullptr;
+  obs::Counter* false_benign_counter_ = nullptr;
+};
+
+/// Which optional stages an invocation runs.
+struct Stages {
+  std::size_t chunk = 0;  // 0 = derive_chunk
+  /// Fabric shard rule: a trial that exhausts its retries rethrows, failing
+  /// the invocation as a unit. Shards also ignore the budget.
+  bool shard = false;
+};
+
+/// The one trial loop. Runs every index of `plan` into `out` (slot of trial
+/// i = i - `base`): per chunk it derives the trial seeds with the batched
+/// kernel, scores them with `hooks.predict` when pruning, then executes each
+/// trial — budget check, fresh Rng per attempt, per-attempt deadline,
+/// retries — writing the record straight into its slot. At chunk boundaries
+/// it folds tallies into `state` and, when a snapshot is due, writes one
+/// through `snapshot`.
+template <typename Record, typename TrialFn, typename Snapshot>
+void execute(const CampaignSpec& spec, const Stages& stages, const TrialPlan& plan,
+             std::size_t base, TrialFn& trial, const PruneHooks<Record>& hooks,
+             CampaignResult<Record>& out, RunState& state, const Snapshot& snapshot) {
+  using Clock = RunState::Clock;
   const bool pruning = static_cast<bool>(hooks.predict);
   const double audit_fraction = pruning ? resolve_prune_audit(hooks.audit_fraction) : 0.0;
   // Decorrelate the audit subsample from the trial seed stream by default.
   const std::uint64_t audit_seed =
       hooks.audit_seed != 0 ? hooks.audit_seed : spec.base_seed ^ 0x9e3779b97f4a7c15ULL;
-
-  obs::Counter* completed_counter = nullptr;
-  obs::Counter* pruned_counter = nullptr;
-  obs::Counter* audit_counter = nullptr;
-  obs::Counter* false_benign_counter = nullptr;
-  obs::Gauge* progress_gauge = nullptr;
-  std::atomic<std::size_t> completed_so_far{0};
-  if (obs::kCompiledIn && obs::enabled()) {
-    auto& registry = obs::MetricsRegistry::global();
-    completed_counter = &registry.counter("campaign.trials_completed");
-    progress_gauge = &registry.gauge("campaign.progress");
-    if (pruning) {
-      pruned_counter = &registry.counter("campaign.trials_pruned");
-      audit_counter = &registry.counter("campaign.prune_audits");
-      false_benign_counter = &registry.counter("campaign.prune_false_benign");
-    }
-  }
+  const bool deadline = spec.trial_deadline.count() > 0;
+  const bool budget = !stages.shard && spec.overall_budget.count() > 0;
+  const std::size_t chunk = stages.chunk ? stages.chunk
+                                         : derive_chunk(plan.size(), spec.threads,
+                                                        state.checkpointing()
+                                                            ? spec.checkpoint_every
+                                                            : 0);
 
   // Chunk spans nest under the caller's ambient span (a fabric shard span, a
   // scenario stage, ...), so a fleet trace shows each worker's chunk-level
-  // progress; the scope also stamps chunk events for the flight recorder.
+  // progress; the scope also stamps trial events for the flight recorder.
   const obs::TraceContext trace_ctx = obs::current_trace_context();
-  parallel_for_chunks(n, spec.threads, chunk, [&](std::size_t begin, std::size_t end) {
+  parallel_for_chunks(plan.size(), spec.threads, chunk, [&](std::size_t p0, std::size_t p1) {
     obs::TraceContextScope trace_scope(trace_ctx);
     LORE_OBS_SPAN(chunk_span, "campaign.chunk");
-    Arena& arena = Arena::for_thread();
-    ArenaScope epoch(arena);
-    const auto seeds = arena.alloc<std::uint64_t>(end - begin);
-    kernels::fill_trial_seeds(seeds, spec.base_seed, begin);
+    const bool events = obs::kCompiledIn && obs::event_stream_enabled();
     // Re-evaluated per chunk so a controller trip stops pruning on every
     // chunk scored after it.
     const bool prune_chunk =
         pruning && (hooks.controller == nullptr || hooks.controller->enabled());
-    std::span<std::uint8_t> benign;
-    if (prune_chunk) {
-      benign = arena.alloc<std::uint8_t>(end - begin, /*zeroed=*/true);
-      hooks.predict(begin, end, std::span<const std::uint64_t>(seeds), benign);
-    }
-    const CancelToken cancel;  // plain specs have no deadline
-    std::size_t chunk_ok = 0, chunk_retries = 0, chunk_suppressed = 0;
-    std::size_t chunk_pruned = 0, chunk_audits = 0, chunk_false_benign = 0;
-    for (std::size_t i = begin; i < end; ++i) {
-      const bool predicted_benign = prune_chunk && benign[i - begin] != 0;
-      const bool audited =
-          predicted_benign && prune_audit_selected(audit_seed, i, audit_fraction);
-      if (predicted_benign && !audited) {
-        out.status[i] = TrialStatus::kPruned;
-        out.records[i] = Record{};
-        ++chunk_pruned;
-        continue;
+    Arena& arena = Arena::for_thread();
+    ArenaScope epoch(arena);
+    ChunkTally tally;
+    std::size_t first = std::numeric_limits<std::size_t>::max();
+    plan.for_each_run(p0, p1, [&](std::size_t begin, std::size_t end) {
+      first = std::min(first, begin);
+      const auto seeds = arena.alloc<std::uint64_t>(end - begin);
+      kernels::fill_trial_seeds(seeds, spec.base_seed, begin);
+      std::span<std::uint8_t> benign;
+      if (prune_chunk) {
+        benign = arena.alloc<std::uint8_t>(end - begin, /*zeroed=*/true);
+        hooks.predict(begin, end, std::span<const std::uint64_t>(seeds), benign);
       }
-      for (unsigned attempt = 0; attempt <= spec.max_retries; ++attempt) {
-        if (attempt > 0) {
-          ++chunk_retries;
-          std::this_thread::sleep_for(spec.retry_backoff * (1u << (attempt - 1)));
+      for (std::size_t i = begin; i < end; ++i) {
+        const std::size_t slot = i - base;
+        if (budget && Clock::now() - state.start() >= spec.overall_budget)
+          return;  // the rest of the run stays kSkipped; a resume picks it up
+        const bool predicted_benign = prune_chunk && benign[i - begin] != 0;
+        const bool audited =
+            predicted_benign && prune_audit_selected(audit_seed, i, audit_fraction);
+        if (predicted_benign && !audited) {
+          out.status[slot] = TrialStatus::kPruned;
+          ++tally.pruned;
+          continue;
         }
-        try {
-          // Fresh stream per attempt — identical to the reference engine.
-          Rng rng(seeds[i - begin]);
-          out.records[i] = trial(i, rng, cancel);
-          out.status[i] = TrialStatus::kOk;
-          ++chunk_ok;
-          break;
-        } catch (const std::exception& e) {
-          ++chunk_suppressed;
-          out.status[i] = TrialStatus::kFailed;
-          std::lock_guard lock(err_mu);
-          if (first_error.empty()) first_error = e.what();
-        } catch (...) {
-          ++chunk_suppressed;
-          out.status[i] = TrialStatus::kFailed;
-          std::lock_guard lock(err_mu);
-          if (first_error.empty()) first_error = "unknown trial exception";
+        std::exception_ptr error;
+        for (unsigned attempt = 0; attempt <= spec.max_retries; ++attempt) {
+          if (attempt > 0) state.retry(i, attempt);
+          const CancelToken cancel =
+              deadline ? CancelToken::with_deadline(Clock::now() + spec.trial_deadline)
+                       : CancelToken();
+          const double t0 = events ? obs::TraceRecorder::now_us() : 0.0;
+          try {
+            // A fresh stream per attempt: a retried trial replays the exact
+            // stream of its first attempt.
+            Rng rng(seeds[i - begin]);
+            out.records[slot] = trial(i, rng, cancel);
+            out.status[slot] = TrialStatus::kOk;
+            if (events)
+              LORE_OBS_EVENT(obs::EventKind::kTrialCompleted, i,
+                             obs::TraceRecorder::now_us() - t0);
+            break;
+          } catch (const TrialTimeout&) {
+            error = std::current_exception();
+            out.status[slot] = TrialStatus::kTimeout;
+            state.timed_out(i, attempt);
+          } catch (const std::exception& e) {
+            error = std::current_exception();
+            out.status[slot] = TrialStatus::kFailed;
+            state.failed(i, attempt, e.what());
+          } catch (...) {
+            error = std::current_exception();
+            out.status[slot] = TrialStatus::kFailed;
+            state.failed(i, attempt, "unknown trial exception");
+          }
         }
+        if (out.status[slot] != TrialStatus::kOk) {
+          if (stages.shard) std::rethrow_exception(error);
+          continue;  // the slot was never assigned: still value-initialized
+        }
+        ++tally.ok;
+        if (state.checkpointing()) state.publish(slot);
+        if (audited) {
+          const bool truth = hooks.is_benign ? hooks.is_benign(out.records[slot]) : true;
+          ++tally.audits;
+          if (!truth) ++tally.false_benign;
+          if (hooks.controller) hooks.controller->record_audit(truth);
+        }
+        if (hooks.on_executed)
+          hooks.on_executed(i, out.records[slot], predicted_benign, audited);
       }
-      if (out.status[i] != TrialStatus::kOk) {
-        out.records[i] = Record{};
-        continue;
-      }
-      if (audited) {
-        const bool truth = hooks.is_benign ? hooks.is_benign(out.records[i]) : true;
-        ++chunk_audits;
-        if (!truth) ++chunk_false_benign;
-        if (hooks.controller) hooks.controller->record_audit(truth);
-      }
-      if (hooks.on_executed)
-        hooks.on_executed(i, out.records[i], predicted_benign, audited);
-    }
-    if (chunk_retries) retries.fetch_add(chunk_retries, std::memory_order_relaxed);
-    if (chunk_suppressed)
-      suppressed.fetch_add(chunk_suppressed, std::memory_order_relaxed);
-    if (chunk_pruned && hooks.controller) hooks.controller->record_pruned(chunk_pruned);
-    // Prune decisions as structured events (not just a counter): a = trials
-    // pruned in this chunk, value = first trial index of the chunk — enough
-    // for intervals, traces, and the post-mortem toolkit to reconstruct
-    // which ranges were skipped and under which span.
-    if (chunk_pruned)
-      LORE_OBS_EVENT(obs::EventKind::kTrialsPruned, chunk_pruned,
-                     static_cast<double>(begin));
-    if (chunk_audits) audits.fetch_add(chunk_audits, std::memory_order_relaxed);
-    if (chunk_false_benign)
-      false_benign.fetch_add(chunk_false_benign, std::memory_order_relaxed);
-    if (pruned_counter && chunk_pruned) pruned_counter->add(chunk_pruned);
-    if (audit_counter && chunk_audits) audit_counter->add(chunk_audits);
-    if (false_benign_counter && chunk_false_benign)
-      false_benign_counter->add(chunk_false_benign);
-    if (completed_counter && chunk_ok) {
-      completed_counter->add(chunk_ok);
-      const auto done =
-          completed_so_far.fetch_add(chunk_ok, std::memory_order_relaxed) + chunk_ok;
-      progress_gauge->set(static_cast<double>(done) / static_cast<double>(n));
+    });
+    if (state.end_chunk(first, tally, hooks.controller)) {
+      std::unique_lock lock(state.snapshot_mutex(), std::try_to_lock);
+      if (lock) snapshot();
     }
   });
+}
 
-  const auto status_bytes = std::span<const std::uint8_t>(
-      reinterpret_cast<const std::uint8_t*>(out.status.data()), n);
-  out.report.completed =
-      kernels::count_equal_u8(status_bytes, static_cast<std::uint8_t>(TrialStatus::kOk));
-  out.report.failed = kernels::count_equal_u8(
-      status_bytes, static_cast<std::uint8_t>(TrialStatus::kFailed));
-  out.report.pruned = kernels::count_equal_u8(
-      status_bytes, static_cast<std::uint8_t>(TrialStatus::kPruned));
-  out.report.prune_audits = audits.load(std::memory_order_relaxed);
-  out.report.prune_false_benign = false_benign.load(std::memory_order_relaxed);
-  out.report.prune_disabled =
-      pruning && hooks.controller != nullptr && hooks.controller->tripped();
-  out.report.retries = retries.load(std::memory_order_relaxed);
-  out.report.suppressed_exceptions = suppressed.load(std::memory_order_relaxed);
-  out.report.first_error = std::move(first_error);
+}  // namespace campaign_detail
+
+/// Run a campaign under `spec`. `trial(i, rng, cancel)` computes the record
+/// of trial `i` from an rng seeded with `trial_seed(spec.base_seed, i)` — the
+/// identical contract to `parallel_for_trials`, so results are bit-identical
+/// for every thread count and chunk size, across interrupt/resume, and
+/// across retries. Each spec feature is a stage of the one loop (see the
+/// top of this file): resume runs only the missing indices, the first
+/// `max_trials_per_run` of them when capped; no trial starts once
+/// `overall_budget` has elapsed; checkpoint snapshots encode the published
+/// kOk records through `Codec` at chunk boundaries (chunks never exceed
+/// `checkpoint_every`) and once at the end.
+///
+/// With `hooks.predict` set, each contiguous run of a chunk is scored before
+/// execution and predicted-benign trials are skipped as kPruned
+/// (value-initialized record), except a seeded audit fraction that executes
+/// anyway. Which trials are pruned is a pure function of (predictions,
+/// audit_seed), so `audit_fraction = 1.0` reproduces prune=off outcomes at
+/// any thread count; a tripped PruneController stops pruning on chunks
+/// scored after the trip. `chunk` pins the chunk size (0 = derived from the
+/// trial count, thread count and checkpoint interval) — the hook the
+/// chunk-invariance tests use.
+template <typename Record, typename Codec = PodCodec<Record>, typename TrialFn>
+CampaignResult<Record> run_campaign(const CampaignSpec& spec, TrialFn&& trial,
+                                    const PruneHooks<Record>& hooks = {},
+                                    std::size_t chunk = 0) {
+  const bool checkpointing = !spec.checkpoint_path.empty() && spec.checkpoint_every > 0;
+  CampaignResult<Record> out;
+  std::size_t resumed = 0;
+  if (auto ck = checkpointing ? load_checkpoint(spec.checkpoint_path, spec) : std::nullopt) {
+    out = result_from_checkpoint<Record, Codec>(spec, *ck);
+    resumed = out.report.completed;
+    out.report = CampaignReport{};
+    out.report.loaded_checkpoint = true;
+  } else {
+    out.records.resize(spec.trials);
+    out.status.assign(spec.trials, TrialStatus::kSkipped);
+  }
+  out.report.trials = spec.trials;
+  out.report.resumed = resumed;
+
+  campaign_detail::RunState state(spec, static_cast<bool>(hooks.predict), checkpointing);
+  for (std::size_t i = 0; checkpointing && i < spec.trials; ++i)
+    if (out.status[i] == TrialStatus::kOk) state.publish(i);
+  state.resumed(resumed);
+
+  // Snapshot every published slot. Runs alongside chunk execution:
+  // unpublished slots are simply absent from this snapshot and appear in the
+  // next one.
+  const auto snapshot = [&] {
+    CampaignCheckpoint ck;
+    ck.identity = spec.identity_hash();
+    ck.build_tag = checkpoint_build_tag();
+    ck.trials = spec.trials;
+    for (std::size_t i = 0; i < spec.trials; ++i) {
+      if (!state.published(i)) continue;
+      ByteWriter w;
+      Codec::encode(w, out.records[i]);
+      ck.entries.push_back({static_cast<std::uint64_t>(i), std::move(w).take()});
+    }
+    state.write_snapshot(ck);
+  };
+  campaign_detail::execute(spec, {.chunk = chunk},
+                           campaign_detail::TrialPlan::missing(out.status,
+                                                               spec.max_trials_per_run),
+                           0, trial, hooks, out, state, snapshot);
+  // Final snapshot so an interrupt between intervals loses nothing, and a
+  // finished campaign's checkpoint replays instantly on the next invocation.
+  if (checkpointing && state.fresh()) {
+    std::lock_guard lock(state.snapshot_mutex());
+    snapshot();
+  }
+  state.finish(out.report, out.status, hooks.controller);
   return out;
 }
 
-/// `run_campaign_pruned` with no prune stage — the PR 6 batched fast path.
+/// Worker half of the fabric hand-off (DESIGN.md §12): run trials
+/// [range.begin, range.end) of `spec` on the same executor as `run_campaign`
+/// — each seeded `trial_seed(spec.base_seed, global_index)` — and return
+/// their records encoded through `Codec` as a LORECKP1-ready checkpoint
+/// (identity + build tag filled in, one entry per trial in index order).
+/// A shard does no checkpoint I/O and ignores the budget and per-run cap;
+/// failed trials retry up to spec.max_retries times, and a trial that still
+/// fails propagates its exception, failing the shard as a unit (the
+/// coordinator re-dispatches it).
 template <typename Record, typename Codec = PodCodec<Record>, typename TrialFn>
-CampaignResult<Record> run_campaign_batched(const CampaignSpec& spec, TrialFn&& trial,
-                                            const BatchOptions& opt = {}) {
-  return run_campaign_pruned<Record, Codec>(spec, std::forward<TrialFn>(trial),
-                                            PruneHooks<Record>{}, opt);
+CampaignCheckpoint run_campaign_shard(const CampaignSpec& spec, TrialRange range,
+                                      TrialFn&& trial) {
+  CampaignCheckpoint ck;
+  ck.identity = spec.identity_hash();
+  ck.build_tag = checkpoint_build_tag();
+  ck.trials = spec.trials;
+  if (range.end > spec.trials) range.end = spec.trials;
+  if (range.begin >= range.end) return ck;
+
+  CampaignResult<Record> out;
+  out.records.resize(range.size());
+  out.status.assign(range.size(), TrialStatus::kSkipped);
+  campaign_detail::RunState state(spec, /*pruning=*/false, /*checkpointing=*/false);
+  campaign_detail::execute(spec, {.shard = true}, campaign_detail::TrialPlan(range),
+                           range.begin, trial, PruneHooks<Record>{}, out, state, [] {});
+  ck.entries.reserve(range.size());
+  for (std::size_t j = 0; j < range.size(); ++j) {
+    ByteWriter w;
+    Codec::encode(w, out.records[j]);
+    ck.entries.push_back({static_cast<std::uint64_t>(range.begin + j), std::move(w).take()});
+  }
+  return ck;
 }
+
+/// Every campaign runs on the chunked executor; kept for callers that report
+/// the share of campaigns on it.
+inline bool campaign_uses_batch(const CampaignSpec&) { return true; }
 
 }  // namespace lore

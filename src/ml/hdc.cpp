@@ -16,14 +16,8 @@ namespace lore::ml {
 namespace {
 
 bool scalar_mode_default() {
-#ifdef LORE_HDC_SCALAR_DEFAULT
-  constexpr bool build_default = true;
-#else
-  constexpr bool build_default = false;
-#endif
-  if (const char* env = std::getenv("LORE_HDC_SCALAR"))
-    return !(env[0] == '\0' || (env[0] == '0' && env[1] == '\0'));
-  return build_default;
+  const char* env = std::getenv("LORE_HDC_SCALAR");
+  return env && !(env[0] == '\0' || (env[0] == '0' && env[1] == '\0'));
 }
 
 std::atomic<bool>& scalar_mode_flag() {

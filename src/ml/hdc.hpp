@@ -14,8 +14,8 @@
 // randomness (random(), with_component_errors(), threshold tie-breaks) draws
 // from the Rng once per component in index order, so packed results are
 // bit-identical to the scalar reference in `src/ml/hdc_ref` for the same
-// seed. The scalar path is retained behind `LORE_HDC_SCALAR` (env var, or
-// the -DLORE_HDC_SCALAR=ON build default) for differential testing.
+// seed. The scalar path is retained behind the `LORE_HDC_SCALAR` env var
+// (or set_hdc_scalar_reference_mode) for differential testing.
 #pragma once
 
 #include <cstdint>
@@ -32,8 +32,7 @@ namespace lore::ml {
 /// True when Hypervector/Accumulator operations route through the scalar
 /// reference kernels (`hdcref`) instead of the word-parallel path. Initial
 /// value comes from the LORE_HDC_SCALAR environment variable (unset or "0" =
-/// packed) or the LORE_HDC_SCALAR build option; results are bit-identical in
-/// both modes, only the speed differs.
+/// packed); results are bit-identical in both modes, only the speed differs.
 bool hdc_scalar_reference_mode();
 void set_hdc_scalar_reference_mode(bool on);
 

@@ -171,7 +171,7 @@ void FlightRecorder::record(EventKind kind, std::uint64_t a, double value,
   s.pad = 0;
   s.tid = static_cast<std::uint16_t>(TraceRecorder::thread_id());
   const std::size_t n = label.size() < sizeof(s.label) - 1 ? label.size() : sizeof(s.label) - 1;
-  std::memcpy(s.label, label.data(), n);
+  if (n > 0) std::memcpy(s.label, label.data(), n);  // an empty view may hold null
   std::memset(s.label + n, 0, sizeof(s.label) - n);
   s.crc = crc32(&s, offsetof(FlightSlot, crc));
 }

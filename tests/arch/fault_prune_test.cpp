@@ -1,9 +1,10 @@
 // End-to-end predict-and-prune fault-injection campaign (DESIGN.md §13):
 // FaultSiteFeaturizer determinism, the online observe → train → prune loop
-// on a real workload, audit=1.0 outcome identity with the full campaign at
-// multiple thread counts, and the fallback rules.
+// on a real workload, and audit=1.0 outcome identity with the full campaign
+// at multiple thread counts and under a checkpointing spec.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <vector>
 
 #include "src/arch/fault.hpp"
@@ -126,16 +127,42 @@ TEST(PrunedFaultCampaign, TrainedPredictorPrunesAndAccountsAudits) {
   }
 }
 
-TEST(PrunedFaultCampaign, NonPlainSpecFallsBackToFullExecution) {
+TEST(PrunedFaultCampaign, CheckpointedFullAuditMatchesPlainCampaign) {
+  // The prune stage runs under a checkpointing spec too: at audit=1.0 the
+  // campaign equals the plain one, its audits prove the hooks ran, and the
+  // checkpoint it writes replays to the same records.
   const auto w = make_checksum(8, 3);
   const FaultInjector injector(w);
   ml::Predictor predictor(quick_config());
-  auto spec = plain_spec(100, 1);
-  spec.max_trials_per_run = 100;  // non-plain: reference engine, never prunes
-  const auto result =
-      injector.campaign_run_pruned(spec, FaultTarget::kRegister, predictor);
-  EXPECT_EQ(result.report.pruned, 0u);
-  EXPECT_EQ(result.report.completed, 100u);
+  injector.campaign_run_pruned(plain_spec(600, 1), FaultTarget::kRegister, predictor,
+                               PruneCampaignOptions{.feedback_stride = 1});
+  ASSERT_TRUE(predictor.train_now());
+
+  const auto full = injector.campaign_run(plain_spec(300, 1), FaultTarget::kRegister);
+  auto spec = plain_spec(300, 2);
+  spec.checkpoint_path = ::testing::TempDir() + "pruned_full_audit.ckpt";
+  spec.checkpoint_every = 32;
+  std::filesystem::remove(spec.checkpoint_path);
+  PruneCampaignOptions opt;
+  opt.audit_fraction = 1.0;
+  opt.benign_threshold = 0.6;  // low bar so register faults (mostly benign) score
+  const auto pruned =
+      injector.campaign_run_pruned(spec, FaultTarget::kRegister, predictor, opt);
+  EXPECT_EQ(pruned.records, full.records);
+  EXPECT_EQ(pruned.status, full.status);
+  EXPECT_EQ(pruned.report.pruned, 0u);
+  EXPECT_GT(pruned.report.prune_audits, 0u);
+  EXPECT_GT(pruned.report.checkpoints_written, 0u);
+
+  const auto ck = load_checkpoint(spec.checkpoint_path, injector.resolved_spec(
+                                                            spec, FaultTarget::kRegister));
+  ASSERT_TRUE(ck.has_value());
+  EXPECT_EQ(ck->entries.size(), spec.trials);
+  EXPECT_EQ(FaultInjector::records_from_checkpoint(
+                injector.resolved_spec(spec, FaultTarget::kRegister), *ck)
+                .records,
+            full.records);
+  std::filesystem::remove(spec.checkpoint_path);
 }
 
 }  // namespace

@@ -1,15 +1,18 @@
-// Contract tests for `run_campaign_batched` (DESIGN.md §11): record/status/
-// report equivalence with the reference engine across chunk sizes and thread
-// counts, per-trial RNG stream identity, retry and failure degradation, and
-// the fall-back rules (non-plain specs and the global batch switch).
+// Contract tests for the chunked campaign executor `run_campaign` (DESIGN.md
+// §11): record/status/report equivalence with the per-trial oracle across
+// chunk sizes and thread counts, per-trial RNG stream identity, retry and
+// failure degradation, and resilience specs running on the same loop.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdio>
 #include <cstdint>
 #include <stdexcept>
 #include <vector>
 
 #include "src/common/campaign.hpp"
+#include "tests/common/trial_oracle.hpp"
 
 namespace {
 
@@ -34,20 +37,14 @@ TEST(BatchCampaign, MatchesReferenceAcrossChunkSizesAndThreads) {
   const auto trial = [](std::size_t t, Rng& rng, const CancelToken&) {
     return Sample{rng.next_u64(), t};
   };
-  BatchOptions reference_opt;
-  reference_opt.force_reference = true;
-  const auto reference =
-      run_campaign_batched<Sample>(plain_spec(1000, 1), trial, reference_opt);
-  ASSERT_EQ(reference.report.completed, 1000u);
+  const auto reference = oracle::per_trial<Sample>(plain_spec(1000, 1), trial);
   for (const std::size_t chunk : {std::size_t{1}, std::size_t{3}, std::size_t{64},
                                   std::size_t{1000}, std::size_t{4096}}) {
     for (const unsigned threads : {1u, 4u, 0u}) {
-      BatchOptions opt;
-      opt.chunk = chunk;
-      const auto batched = run_campaign_batched<Sample>(plain_spec(1000, threads), trial, opt);
-      EXPECT_EQ(reference.records, batched.records)
-          << "chunk=" << chunk << " threads=" << threads;
-      EXPECT_EQ(reference.status, batched.status);
+      const auto batched =
+          run_campaign<Sample>(plain_spec(1000, threads), trial, {}, chunk);
+      EXPECT_EQ(reference, batched.records) << "chunk=" << chunk << " threads=" << threads;
+      EXPECT_EQ(batched.status, std::vector<TrialStatus>(1000, TrialStatus::kOk));
       EXPECT_EQ(batched.report.completed, 1000u);
       EXPECT_TRUE(batched.report.complete());
     }
@@ -57,7 +54,7 @@ TEST(BatchCampaign, MatchesReferenceAcrossChunkSizesAndThreads) {
 TEST(BatchCampaign, TrialRngStreamIsTheEngineContract) {
   // Trial i must see a fresh Rng seeded with trial_seed(base_seed, i) —
   // exactly the documented determinism contract.
-  const auto result = run_campaign_batched<std::uint64_t>(
+  const auto result = run_campaign<std::uint64_t>(
       plain_spec(257, 0),
       [](std::size_t, Rng& rng, const CancelToken&) { return rng.next_u64(); });
   ASSERT_EQ(result.report.completed, 257u);
@@ -71,7 +68,7 @@ TEST(BatchCampaign, PersistentFailuresDegradeToFailedStatus) {
   CampaignSpec spec = plain_spec(100, 4);
   spec.max_retries = 2;
   spec.retry_backoff = std::chrono::milliseconds(0);
-  const auto result = run_campaign_batched<Sample>(
+  const auto result = run_campaign<Sample>(
       spec, [](std::size_t t, Rng&, const CancelToken&) {
         if (t % 10 == 3) throw std::runtime_error("trial exploded");
         return Sample{t * 2, t};
@@ -99,7 +96,7 @@ TEST(BatchCampaign, TransientFailuresRecoverViaRetry) {
   spec.max_retries = 1;
   spec.retry_backoff = std::chrono::milliseconds(0);
   std::vector<std::atomic<int>> attempts(64);
-  const auto result = run_campaign_batched<Sample>(
+  const auto result = run_campaign<Sample>(
       spec, [&](std::size_t t, Rng& rng, const CancelToken&) {
         if (t % 8 == 1 && attempts[t].fetch_add(1) == 0)
           throw std::runtime_error("transient");
@@ -117,52 +114,43 @@ TEST(BatchCampaign, TransientFailuresRecoverViaRetry) {
   }
 }
 
-TEST(BatchCampaign, NonPlainSpecsFallBackToReferenceEngine) {
-  // Deadlines, budgets, per-run caps, and checkpoints are reference-engine
-  // features; campaign_uses_batch must refuse them.
-  CampaignSpec plain = plain_spec(10, 1);
-  EXPECT_TRUE(plain_campaign_spec(plain));
+TEST(BatchCampaign, ResilienceSpecsRunOnTheChunkedEngine) {
+  // Deadlines, budgets, per-run caps, and checkpoints are stages of the one
+  // executor: each spec still reproduces the per-trial oracle.
+  const auto trial = [](std::size_t t, Rng& rng, const CancelToken&) {
+    return Sample{rng.next_u64(), t};
+  };
+  const CampaignSpec plain = plain_spec(100, 4);
+  const auto reference = oracle::per_trial<Sample>(plain, trial);
   auto with_deadline = plain;
-  with_deadline.trial_deadline = std::chrono::milliseconds(100);
-  EXPECT_FALSE(plain_campaign_spec(with_deadline));
+  with_deadline.trial_deadline = std::chrono::milliseconds(1000);
   auto with_budget = plain;
-  with_budget.overall_budget = std::chrono::milliseconds(100);
-  EXPECT_FALSE(plain_campaign_spec(with_budget));
-  auto with_cap = plain;
-  with_cap.max_trials_per_run = 5;
-  EXPECT_FALSE(plain_campaign_spec(with_cap));
+  with_budget.overall_budget = std::chrono::milliseconds(60000);
   auto with_checkpoint = plain;
-  with_checkpoint.checkpoint_path = "/tmp/never-written.ckpt";
-  EXPECT_FALSE(plain_campaign_spec(with_checkpoint));
-
-  // A non-plain spec still produces correct results (via the fallback).
-  const auto result = run_campaign_batched<Sample>(
-      with_deadline,
-      [](std::size_t t, Rng& rng, const CancelToken&) { return Sample{rng.next_u64(), t}; });
-  EXPECT_EQ(result.report.completed, 10u);
-  for (std::size_t t = 0; t < 10; ++t) {
-    Rng expected(trial_seed(4242, t));
-    EXPECT_EQ(result.records[t].value, expected.next_u64());
+  with_checkpoint.checkpoint_path = ::testing::TempDir() + "batch_resilience.ckpt";
+  with_checkpoint.checkpoint_every = 16;
+  std::remove(with_checkpoint.checkpoint_path.c_str());
+  for (const auto& spec : {with_deadline, with_budget, with_checkpoint}) {
+    const auto result = run_campaign<Sample>(spec, trial);
+    EXPECT_TRUE(result.report.complete());
+    EXPECT_EQ(result.records, reference);
   }
-}
 
-TEST(BatchCampaign, GlobalSwitchForcesReferenceEngine) {
-  const bool saved = campaign_batch_enabled();
-  set_campaign_batch_enabled(false);
-  const CampaignSpec spec = plain_spec(10, 1);
-  EXPECT_FALSE(campaign_uses_batch(spec));
-  const auto off = run_campaign_batched<std::uint64_t>(
-      spec, [](std::size_t, Rng& rng, const CancelToken&) { return rng.next_u64(); });
-  set_campaign_batch_enabled(true);
-  EXPECT_TRUE(campaign_uses_batch(spec));
-  const auto on = run_campaign_batched<std::uint64_t>(
-      spec, [](std::size_t, Rng& rng, const CancelToken&) { return rng.next_u64(); });
-  set_campaign_batch_enabled(saved);
-  EXPECT_EQ(off.records, on.records) << "engines must agree bit-for-bit";
+  // A capped spec runs exactly the first `max_trials_per_run` indices.
+  auto with_cap = plain;
+  with_cap.max_trials_per_run = 30;
+  const auto capped = run_campaign<Sample>(with_cap, trial);
+  EXPECT_EQ(capped.report.completed, 30u);
+  EXPECT_EQ(capped.report.skipped, 70u);
+  for (std::size_t t = 0; t < 100; ++t) {
+    EXPECT_EQ(capped.status[t], t < 30 ? TrialStatus::kOk : TrialStatus::kSkipped);
+    EXPECT_EQ(capped.records[t], t < 30 ? reference[t] : Sample{}) << "t=" << t;
+  }
+  std::remove(with_checkpoint.checkpoint_path.c_str());
 }
 
 TEST(BatchCampaign, ZeroTrials) {
-  const auto result = run_campaign_batched<Sample>(
+  const auto result = run_campaign<Sample>(
       plain_spec(0, 4),
       [](std::size_t t, Rng&, const CancelToken&) { return Sample{0, t}; });
   EXPECT_EQ(result.records.size(), 0u);

@@ -1,5 +1,5 @@
 // Contract tests for the predict-and-prune campaign stage (DESIGN.md §13):
-// audit=1.0 bit-identity with the unpruned engine at any thread/chunk count,
+// audit=1.0 bit-identity with the per-trial oracle at any thread/chunk count,
 // kPruned statuses + report tallies, seeded audit determinism, false-benign
 // accounting, and the PruneController breaker degrading back to full
 // execution.
@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "src/common/campaign.hpp"
+#include "tests/common/trial_oracle.hpp"
 
 namespace {
 
@@ -52,18 +53,15 @@ TEST(PruneCampaign, FullAuditIsBitIdenticalToUnpruned) {
   const auto trial = [](std::size_t t, Rng& rng, const CancelToken&) {
     return make_trial(t, rng);
   };
-  const auto reference = run_campaign_batched<Sample>(plain_spec(1000, 1), trial);
+  const auto reference = oracle::per_trial<Sample>(plain_spec(1000, 1), trial);
   for (const unsigned threads : {1u, 2u, 4u, 8u}) {
     for (const std::size_t chunk : {1u, 7u, 64u, 1000u}) {
       auto hooks = benign_even_hooks();
       hooks.audit_fraction = 1.0;  // everything predicted-benign still executes
-      BatchOptions opt;
-      opt.chunk = chunk;
       const auto pruned =
-          run_campaign_pruned<Sample>(plain_spec(1000, threads), trial, hooks, opt);
-      ASSERT_EQ(pruned.records, reference.records)
-          << "threads=" << threads << " chunk=" << chunk;
-      ASSERT_EQ(pruned.status, reference.status);
+          run_campaign<Sample>(plain_spec(1000, threads), trial, hooks, chunk);
+      ASSERT_EQ(pruned.records, reference) << "threads=" << threads << " chunk=" << chunk;
+      ASSERT_EQ(pruned.status, std::vector<TrialStatus>(1000, TrialStatus::kOk));
       EXPECT_EQ(pruned.report.pruned, 0u);
       EXPECT_GT(pruned.report.prune_audits, 0u);
       EXPECT_EQ(pruned.report.prune_false_benign, 0u);
@@ -79,7 +77,7 @@ TEST(PruneCampaign, PrunedTrialsAreMarkedAndValueInitialized) {
   auto hooks = benign_even_hooks();
   hooks.audit_fraction = 0.0;  // prune every predicted-benign trial
   const auto spec = plain_spec(500, 2);
-  const auto result = run_campaign_pruned<Sample>(spec, trial, hooks);
+  const auto result = run_campaign<Sample>(spec, trial, hooks);
   std::size_t pruned = 0;
   for (std::size_t i = 0; i < spec.trials; ++i) {
     const bool predicted = seed_predicts_benign(trial_seed(spec.base_seed, i));
@@ -106,13 +104,10 @@ TEST(PruneCampaign, AuditSubsampleIsThreadAndChunkInvariant) {
   auto hooks = benign_even_hooks();
   hooks.audit_fraction = 0.25;
   hooks.audit_seed = 42;
-  const auto first = run_campaign_pruned<Sample>(plain_spec(2000, 1), trial, hooks);
+  const auto first = run_campaign<Sample>(plain_spec(2000, 1), trial, hooks);
   for (const unsigned threads : {2u, 8u}) {
     for (const std::size_t chunk : {3u, 128u}) {
-      BatchOptions opt;
-      opt.chunk = chunk;
-      const auto again =
-          run_campaign_pruned<Sample>(plain_spec(2000, threads), trial, hooks, opt);
+      const auto again = run_campaign<Sample>(plain_spec(2000, threads), trial, hooks, chunk);
       ASSERT_EQ(again.status, first.status) << "threads=" << threads << " chunk=" << chunk;
       ASSERT_EQ(again.records, first.records);
       ASSERT_EQ(again.report.prune_audits, first.report.prune_audits);
@@ -140,7 +135,7 @@ TEST(PruneCampaign, FalseBenignAuditsAreCounted) {
   };
   hooks.is_benign = [](const Sample& s) { return s.value % 2 == 0; };
   hooks.audit_fraction = 0.5;
-  const auto result = run_campaign_pruned<Sample>(plain_spec(1000, 2), trial, hooks);
+  const auto result = run_campaign<Sample>(plain_spec(1000, 2), trial, hooks);
   EXPECT_GT(result.report.prune_audits, 0u);
   EXPECT_GT(result.report.prune_false_benign, 0u);
   EXPECT_LT(result.report.prune_false_benign, result.report.prune_audits);
@@ -162,10 +157,7 @@ TEST(PruneCampaign, ControllerTripsAndDisablesPruning) {
   hooks.audit_fraction = 0.5;
   hooks.controller = &controller;
   // Small chunks so post-trip chunks are actually scored after the trip.
-  BatchOptions opt;
-  opt.chunk = 16;
-  const auto result =
-      run_campaign_pruned<Sample>(plain_spec(2000, 1), trial, hooks, opt);
+  const auto result = run_campaign<Sample>(plain_spec(2000, 1), trial, hooks, 16);
   EXPECT_TRUE(controller.tripped());
   EXPECT_TRUE(result.report.prune_disabled);
   EXPECT_GT(controller.false_benign_rate(), 0.2);
@@ -173,7 +165,7 @@ TEST(PruneCampaign, ControllerTripsAndDisablesPruning) {
   // untripped run would skip.
   EXPECT_LT(result.report.pruned, 500u);
   // A tripped controller suppresses the prune stage entirely on new runs.
-  const auto after = run_campaign_pruned<Sample>(plain_spec(500, 1), trial, hooks);
+  const auto after = run_campaign<Sample>(plain_spec(500, 1), trial, hooks);
   EXPECT_EQ(after.report.pruned, 0u);
   EXPECT_EQ(after.report.completed, 500u);
 }
@@ -204,10 +196,10 @@ TEST(PruneCampaign, NoPredictHookMeansNoPruning) {
   const auto trial = [](std::size_t t, Rng& rng, const CancelToken&) {
     return make_trial(t, rng);
   };
-  const auto reference = run_campaign_batched<Sample>(plain_spec(300, 2), trial);
+  const auto reference = oracle::per_trial<Sample>(plain_spec(300, 2), trial);
   const auto pruned =
-      run_campaign_pruned<Sample>(plain_spec(300, 2), trial, PruneHooks<Sample>{});
-  EXPECT_EQ(pruned.records, reference.records);
+      run_campaign<Sample>(plain_spec(300, 2), trial, PruneHooks<Sample>{});
+  EXPECT_EQ(pruned.records, reference);
   EXPECT_EQ(pruned.report.pruned, 0u);
   EXPECT_EQ(pruned.report.prune_audits, 0u);
 }

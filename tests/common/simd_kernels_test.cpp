@@ -2,10 +2,10 @@
 // layers: (1) every dispatched kernel is bit-identical to its scalar
 // reference at adversarial sizes — below, at, and above the SIMD lane width,
 // plus a large non-multiple; (2) whole fault-injection campaigns are
-// bit-identical across dispatch modes and thread counts to the legacy
-// serializing reference engine. Together these ARE the contract that lets
-// `LORE_SIMD_SCALAR=1` serve as a trusted arbiter for any suspected
-// SIMD/batching miscompare.
+// bit-identical across dispatch modes and thread counts to the per-trial
+// reference oracle (tests/common/trial_oracle.hpp). Together these ARE the
+// contract that lets `LORE_SIMD_SCALAR=1` (scalar kernel dispatch) serve as
+// a trusted arbiter for any suspected SIMD miscompare.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -17,6 +17,7 @@
 #include "src/common/campaign.hpp"
 #include "src/common/kernels.hpp"
 #include "src/common/rng.hpp"
+#include "tests/common/trial_oracle.hpp"
 
 namespace {
 
@@ -34,16 +35,6 @@ class DispatchGuard {
 
  private:
   kernels::Dispatch saved_;
-};
-
-/// Restore the batch-engine switch on scope exit.
-class BatchEngineGuard {
- public:
-  BatchEngineGuard() : saved_(campaign_batch_enabled()) {}
-  ~BatchEngineGuard() { set_campaign_batch_enabled(saved_); }
-
- private:
-  bool saved_;
 };
 
 // True when set_dispatch(kAvx2) sticks (hardware + compile support). Probed
@@ -167,20 +158,17 @@ TEST(SimdKernels, DispatchedWrappersFollowActiveDispatch) {
 }
 
 // ---------------------------------------------------------------------------
-// Campaign-level differential: the batched engine under every dispatch mode
-// and thread count must reproduce the reference engine's records exactly.
+// Campaign-level differential: the chunked engine under every dispatch mode
+// and thread count must reproduce the per-trial oracle's records exactly.
 
 TEST(SimdCampaignDifferential, FaultCampaignBitIdenticalToReference) {
   DispatchGuard dispatch_guard;
-  BatchEngineGuard engine_guard;
   const auto w = arch::make_checksum(12, 5);
   const arch::FaultInjector injector(w);
   for (const auto target : {arch::FaultTarget::kRegister, arch::FaultTarget::kMemory,
                             arch::FaultTarget::kInstruction}) {
-    set_campaign_batch_enabled(false);  // legacy engine + per-trial inject()
-    const auto reference = injector.campaign(300, target, 2024, 1);
-    ASSERT_EQ(reference.size(), 300u);
-    set_campaign_batch_enabled(true);
+    // Per-trial replay_trial() through the reference inject() path.
+    const auto reference = oracle::fault_campaign(injector, 300, target, 2024);
     for (const auto mode : {kernels::Dispatch::kScalar, kernels::Dispatch::kAvx2}) {
       kernels::set_dispatch(mode);
       for (const unsigned threads : {1u, 4u, 0u}) {
@@ -196,12 +184,13 @@ TEST(SimdCampaignDifferential, FaultCampaignBitIdenticalToReference) {
 
 TEST(SimdCampaignDifferential, PipelineCampaignBitIdenticalToReference) {
   DispatchGuard dispatch_guard;
-  BatchEngineGuard engine_guard;
   const auto w = arch::make_checksum(10, 3);
-  set_campaign_batch_enabled(false);
+  // The serial scalar-dispatch run, every record replayed through the
+  // per-trial pipeline_inject() oracle, is the reference for every mode.
+  kernels::set_dispatch(kernels::Dispatch::kScalar);
   const auto reference = arch::pipeline_campaign(w, 200, 77, 1);
   ASSERT_EQ(reference.size(), 200u);
-  set_campaign_batch_enabled(true);
+  ASSERT_TRUE(oracle::pipeline_campaign_replays(w, reference, 77));
   for (const auto mode : {kernels::Dispatch::kScalar, kernels::Dispatch::kAvx2}) {
     kernels::set_dispatch(mode);
     for (const unsigned threads : {1u, 4u, 0u}) {
@@ -216,8 +205,6 @@ TEST(SimdCampaignDifferential, PipelineCampaignBitIdenticalToReference) {
 TEST(SimdCampaignDifferential, ReplaySeedStillReproducesBatchedTrials) {
   // Each batched record's trial_seed must replay to the same outcome through
   // the (reference) single-trial path — the cross-engine debugging loop.
-  BatchEngineGuard engine_guard;
-  set_campaign_batch_enabled(true);
   const auto w = arch::make_checksum(12, 5);
   const arch::FaultInjector injector(w);
   const auto records = injector.campaign(64, arch::FaultTarget::kRegister, 9, 0);

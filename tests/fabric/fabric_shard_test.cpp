@@ -29,7 +29,9 @@ TEST(ShardRanges, PartitionCoversExactlyOnce) {
         prev_end = r.end;
       }
       EXPECT_EQ(covered, trials);
-      if (trials > 0) EXPECT_EQ(ranges.size(), std::min(trials, shards));
+      if (trials > 0) {
+        EXPECT_EQ(ranges.size(), std::min(trials, shards));
+      }
     }
   }
 }

@@ -212,8 +212,9 @@ TEST(HealthLoop, AggregatorTurnsCountersIntoIntervalRates) {
   EXPECT_GT(iv.trials_per_s, 0.0);
   EXPECT_EQ(iv.timeout_rate, 0.0);
   EXPECT_EQ(agg.health_status().state, HealthState::kOk);
-  if (kCompiledIn)  // per-kind event tallies ride the (advisory) ring
+  if (kCompiledIn) {  // per-kind event tallies ride the (advisory) ring
     EXPECT_GT(iv.per_kind[static_cast<std::size_t>(EventKind::kTrialCompleted)], 0u);
+  }
 
   // A second, idle interval: deltas reset to zero, state stays ok.
   const IntervalStats idle = agg.tick();

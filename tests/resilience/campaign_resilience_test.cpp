@@ -15,7 +15,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
 #include <thread>
+#include <vector>
 
 #include "src/obs/obs.hpp"
 
@@ -58,7 +60,6 @@ CampaignResult<ProbeRecord> run_probe(const CampaignSpec& spec) {
 }
 
 TEST(Checkpoint, RoundTripPreservesEntries) {
-  if (!kCheckpointCompiledIn) GTEST_SKIP() << "built with LORE_CHECKPOINT=OFF";
   CampaignSpec spec = base_spec(10, "roundtrip");
   CampaignCheckpoint ck;
   ck.identity = spec.identity_hash();
@@ -77,13 +78,11 @@ TEST(Checkpoint, RoundTripPreservesEntries) {
 }
 
 TEST(Checkpoint, MissingFileIsNotAnError) {
-  if (!kCheckpointCompiledIn) GTEST_SKIP() << "built with LORE_CHECKPOINT=OFF";
   CampaignSpec spec = base_spec(4, "missing");
   EXPECT_FALSE(load_checkpoint(spec.checkpoint_path, spec).has_value());
 }
 
 TEST(Checkpoint, CorruptedByteFallsBackToFreshRun) {
-  if (!kCheckpointCompiledIn) GTEST_SKIP() << "built with LORE_CHECKPOINT=OFF";
   CampaignSpec spec = base_spec(12, "corrupt");
   ASSERT_TRUE(run_probe(spec).report.complete());
 
@@ -111,7 +110,6 @@ TEST(Checkpoint, CorruptedByteFallsBackToFreshRun) {
 }
 
 TEST(Checkpoint, TruncatedFileFallsBackToFreshRun) {
-  if (!kCheckpointCompiledIn) GTEST_SKIP() << "built with LORE_CHECKPOINT=OFF";
   CampaignSpec spec = base_spec(12, "truncated");
   ASSERT_TRUE(run_probe(spec).report.complete());
   const auto size = std::filesystem::file_size(spec.checkpoint_path);
@@ -124,7 +122,6 @@ TEST(Checkpoint, TruncatedFileFallsBackToFreshRun) {
 }
 
 TEST(Checkpoint, StaleBuildTagIsRejected) {
-  if (!kCheckpointCompiledIn) GTEST_SKIP() << "built with LORE_CHECKPOINT=OFF";
   CampaignSpec spec = base_spec(6, "stale");
   CampaignCheckpoint ck;
   ck.identity = spec.identity_hash();
@@ -136,7 +133,6 @@ TEST(Checkpoint, StaleBuildTagIsRejected) {
 }
 
 TEST(Checkpoint, SpecIdentityMismatchIsRejected) {
-  if (!kCheckpointCompiledIn) GTEST_SKIP() << "built with LORE_CHECKPOINT=OFF";
   CampaignSpec spec = base_spec(6, "mismatch");
   ASSERT_TRUE(run_probe(spec).report.complete());
 
@@ -159,7 +155,6 @@ TEST(Checkpoint, DefaultPathComesFromEnvironment) {
 }
 
 TEST(Resume, ChunkedRunsAreBitIdenticalAtAnyThreadCount) {
-  if (!kCheckpointCompiledIn) GTEST_SKIP() << "built with LORE_CHECKPOINT=OFF";
   CampaignSpec reference_spec = base_spec(20, "chunk_ref");
   reference_spec.checkpoint_path.clear();
   const auto reference = run_probe(reference_spec);
@@ -183,8 +178,41 @@ TEST(Resume, ChunkedRunsAreBitIdenticalAtAnyThreadCount) {
   }
 }
 
+TEST(Resume, ScatteredGapsRunOnlyTheMissingIndices) {
+  // A first run fails every third trial, leaving a checkpoint full of gaps;
+  // the resume must execute exactly those indices, whatever the chunking.
+  CampaignSpec reference_spec = base_spec(60, "gaps_ref");
+  reference_spec.checkpoint_path.clear();
+  const auto reference = run_probe(reference_spec);
+
+  for (const std::size_t chunk : {std::size_t{1}, std::size_t{4}, std::size_t{0}}) {
+    CampaignSpec spec = base_spec(60, "gaps");
+    spec.threads = 4;
+    spec.max_retries = 0;
+    const auto holey = run_campaign<ProbeRecord>(
+        spec, [](std::size_t t, Rng& rng, const CancelToken&) {
+          if (t % 3 == 0) throw std::runtime_error("gap");
+          return probe_trial(t, rng);
+        });
+    ASSERT_EQ(holey.report.failed, 20u);
+
+    std::vector<std::atomic<int>> runs(60);
+    const auto resumed = run_campaign<ProbeRecord>(
+        spec,
+        [&](std::size_t t, Rng& rng, const CancelToken&) {
+          runs[t].fetch_add(1);
+          return probe_trial(t, rng);
+        },
+        {}, chunk);
+    EXPECT_TRUE(resumed.report.complete());
+    EXPECT_EQ(resumed.report.resumed, 40u);
+    for (std::size_t t = 0; t < 60; ++t)
+      EXPECT_EQ(runs[t].load(), t % 3 == 0 ? 1 : 0) << "t=" << t << " chunk=" << chunk;
+    EXPECT_EQ(resumed.records, reference.records) << "chunk=" << chunk;
+  }
+}
+
 TEST(Resume, SigkilledCampaignResumesBitIdentical) {
-  if (!kCheckpointCompiledIn) GTEST_SKIP() << "built with LORE_CHECKPOINT=OFF";
   CampaignSpec spec = base_spec(64, "sigkill");
 
   const pid_t child = fork();
@@ -329,7 +357,6 @@ TEST(Deadline, FailingTrialIsRecordedWithFirstError) {
 }
 
 TEST(Budget, ExhaustedBudgetSkipsAndResumeFinishes) {
-  if (!kCheckpointCompiledIn) GTEST_SKIP() << "built with LORE_CHECKPOINT=OFF";
   CampaignSpec spec = base_spec(24, "budget");
   spec.threads = 2;
   spec.overall_budget = 1ms;

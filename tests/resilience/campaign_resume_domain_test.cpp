@@ -1,5 +1,6 @@
 // Interrupt/resume equivalence for the real campaign entry points: an arch
-// fault-injection campaign, a circuit stuck-at campaign, a cell-
+// fault-injection campaign, an arch pipeline-latch campaign, a circuit
+// stuck-at campaign, a cell-
 // characterization grid, and the rollback Monte Carlo, each interrupted via
 // `max_trials_per_run` slices and resumed from its checkpoint, must be
 // bit-identical to the uninterrupted run — at 1, 4, and hardware threads.
@@ -9,10 +10,13 @@
 #include <thread>
 
 #include "src/arch/fault.hpp"
+#include "src/arch/pipeline.hpp"
+#include "src/arch/workloads.hpp"
 #include "src/circuit/characterize.hpp"
 #include "src/circuit/logicsim.hpp"
 #include "src/circuit/netlist.hpp"
 #include "src/rollback/montecarlo.hpp"
+#include "tests/common/trial_oracle.hpp"
 
 namespace lore {
 namespace {
@@ -37,7 +41,6 @@ auto run_in_slices(CampaignSpec spec, std::size_t chunk, const RunFn& run) {
 }
 
 TEST(DomainResume, ArchFaultCampaign) {
-  if (!kCheckpointCompiledIn) GTEST_SKIP() << "built with LORE_CHECKPOINT=OFF";
   const auto workload = arch::make_dot_product(12, 42);
   const arch::FaultInjector injector(workload);
 
@@ -61,8 +64,32 @@ TEST(DomainResume, ArchFaultCampaign) {
   }
 }
 
+TEST(DomainResume, ArchPipelineCampaign) {
+  const auto workload = arch::make_checksum(10, 3);
+
+  CampaignSpec spec;
+  spec.trials = 120;
+  spec.base_seed = 23;
+  spec.checkpoint_every = 8;
+  const auto reference = arch::pipeline_campaign_run(workload, spec);
+  ASSERT_TRUE(reference.report.complete());
+
+  for (unsigned threads : thread_counts()) {
+    CampaignSpec sliced = spec;
+    sliced.threads = threads;
+    sliced.checkpoint_path = temp_ckpt("pipeline");
+    std::filesystem::remove(sliced.checkpoint_path);
+    const auto resumed = run_in_slices(sliced, 40, [&](const CampaignSpec& s) {
+      return arch::pipeline_campaign_run(workload, s);
+    });
+    EXPECT_GT(resumed.report.resumed, 0u);
+    EXPECT_EQ(resumed.records, reference.records) << "threads=" << threads;
+    EXPECT_TRUE(oracle::pipeline_campaign_replays(workload, resumed.records, spec.base_seed))
+        << "threads=" << threads;
+  }
+}
+
 TEST(DomainResume, CircuitStuckAtCampaign) {
-  if (!kCheckpointCompiledIn) GTEST_SKIP() << "built with LORE_CHECKPOINT=OFF";
   const auto lib = circuit::make_skeleton_library("tech");
   const auto nl =
       circuit::generate_random_logic(lib, circuit::RandomLogicConfig{.num_gates = 40, .seed = 5});
@@ -95,7 +122,6 @@ TEST(DomainResume, CircuitStuckAtCampaign) {
 }
 
 TEST(DomainResume, CharacterizationGrid) {
-  if (!kCheckpointCompiledIn) GTEST_SKIP() << "built with LORE_CHECKPOINT=OFF";
   const circuit::Characterizer characterizer(
       circuit::CharacterizerConfig{.slew_axis_ps = {10.0, 40.0},
                                    .load_axis_ff = {1.0, 4.0},
@@ -144,7 +170,6 @@ TEST(DomainResume, CharacterizationGrid) {
 }
 
 TEST(DomainResume, RollbackMonteCarlo) {
-  if (!kCheckpointCompiledIn) GTEST_SKIP() << "built with LORE_CHECKPOINT=OFF";
   rollback::ExperimentConfig cfg;
   cfg.error_probabilities = {1e-5, 1e-4};
   cfg.runs_per_point = 30;

@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <string_view>
 
 #include "src/obs/flight.hpp"
 
@@ -35,6 +36,8 @@ TEST(FlightRecorder, RoundTripsRecordsThroughCleanClose) {
     rec.record(EventKind::kTrialCompleted, static_cast<std::uint64_t>(i),
                i * 1.5, 0xabcd, "trial");
   rec.record(EventKind::kShardBegin, 7, 0.0, 0, "arch.fault");
+  // An empty label (null data()) must record as an empty string.
+  rec.record(EventKind::kShardEnd, 7, 0.0, 0, std::string_view{});
   rec.close();
   EXPECT_FALSE(rec.active());
 
@@ -45,9 +48,9 @@ TEST(FlightRecorder, RoundTripsRecordsThroughCleanClose) {
   EXPECT_EQ(dump->pid, static_cast<std::uint32_t>(::getpid()));
   EXPECT_EQ(dump->sealed, kFlightSealedClean);
   EXPECT_EQ(dump->capacity, 256u);
-  EXPECT_EQ(dump->cursor, 11u);
+  EXPECT_EQ(dump->cursor, 12u);
   EXPECT_EQ(dump->torn_records, 0u);
-  ASSERT_EQ(dump->records.size(), 11u);
+  ASSERT_EQ(dump->records.size(), 12u);
   for (int i = 0; i < 10; ++i) {
     EXPECT_EQ(dump->records[i].seq, static_cast<std::uint64_t>(i));
     EXPECT_EQ(dump->records[i].kind, EventKind::kTrialCompleted);
@@ -56,8 +59,11 @@ TEST(FlightRecorder, RoundTripsRecordsThroughCleanClose) {
     EXPECT_EQ(dump->records[i].span, 0xabcdu);
     EXPECT_EQ(dump->records[i].label, "trial");
   }
-  EXPECT_EQ(dump->records.back().kind, EventKind::kShardBegin);
-  EXPECT_EQ(dump->records.back().a, 7u);
+  EXPECT_EQ(dump->records[10].kind, EventKind::kShardBegin);
+  EXPECT_EQ(dump->records[10].a, 7u);
+  EXPECT_EQ(dump->records[10].label, "arch.fault");
+  EXPECT_EQ(dump->records.back().kind, EventKind::kShardEnd);
+  EXPECT_EQ(dump->records.back().label, "");
   std::remove(path.c_str());
 }
 
