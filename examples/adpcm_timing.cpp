@@ -1,6 +1,7 @@
-// Section V end to end: encode audio with the real ADPCM codec, segment the
-// workload, and study how the checkpointing/rollback-recovery system and the
-// cycle-noise mitigation schedulers behave around the error-rate wall.
+// Section V end to end: round-trip audio through the ADPCM codec, segment the
+// encoding workload with the seeded cycle-cost model, and study how the
+// checkpointing/rollback-recovery system and the cycle-noise mitigation
+// schedulers behave around the error-rate wall.
 //
 //   $ ./adpcm_timing [error_probability]
 #include <cstdio>
@@ -16,13 +17,15 @@ int main(int argc, char** argv) {
   const double p = argc > 1 ? std::atof(argv[1]) : 3e-6;
   std::printf("per-cycle error probability: %g\n\n", p);
 
-  // The workload: a real ADPCM encoder, segmented into 40k-270k-cycle units.
+  // The workload's program: the ADPCM codec, run here on its own.
   const auto pcm = synth_audio(4096, 1);
   const auto codes = adpcm_encode(pcm);
   const auto decoded = adpcm_decode(codes);
   std::printf("ADPCM round trip: %zu samples -> %zu 4-bit codes (first decoded %d)\n",
               pcm.size(), codes.size(), decoded.front());
 
+  // Its segmentation into 40k-270k-cycle units: seeded block sizes priced by
+  // the encoder's operation-count cycle model (no audio is encoded).
   const auto segments = segment_adpcm_workload(SegmentationConfig{});
   std::uint64_t total = 0;
   for (const auto& s : segments) total += s.nominal_cycles;

@@ -24,6 +24,16 @@ if [ "${TSAN:-0}" = "1" ]; then
   ctest --test-dir build-tsan -L '(parallel|resilience|obs|simd|fabric|ml|scenario|tracing)' --output-on-failure 2>&1 | tee tsan_output.txt
 fi
 
+# UBSAN=1 runs the `resilience`, `simd`, `ml`, `fabric`, `tracing`,
+# `scenario`, `obs` and `rollback` suites under UndefinedBehaviorSanitizer
+# (the `ubsan` preset: -fsanitize=undefined -fno-sanitize-recover=all), so
+# the first undefined operation aborts the test that reached it.
+if [ "${UBSAN:-0}" = "1" ]; then
+  cmake --preset ubsan
+  cmake --build build-ubsan --target lore_resilience_tests lore_simd_tests lore_ml_batch_tests lore_fabric_tests lore_tracing_tests lore_scenario_tests lore_obs_tests lore_rollback_tests
+  ctest --preset ubsan 2>&1 | tee ubsan_output.txt
+fi
+
 # Smoke the -DLORE_OBS=OFF build (the `obs-off` preset): the telemetry
 # pipeline compiles out to no-ops, campaigns still run, and the obs suite's
 # compile-switch-aware tests pass against the stubbed Pipeline/Aggregator.

@@ -1,9 +1,11 @@
 // IMA ADPCM encoder and the workload segmentation used by Section V of the
 // paper. The authors benchmarked TACLeBench's ADPCM lower sub-band block on
 // the Ariane RISC-V RTL and segmented it into 40k-270k-cycle atomic units;
-// LORE substitutes a real integer ADPCM encoder with an operation-count cycle
-// model and reproduces the same segment-length distribution (DESIGN.md
-// substitution #2).
+// LORE draws segments from a seeded operation-count cycle model of the
+// encoder's inner loop, reproducing the same segment-length distribution
+// (DESIGN.md substitution #2). The integer IMA ADPCM codec below is the
+// program that model describes; it is tested on its own and is not run by
+// the segmentation.
 #pragma once
 
 #include <cstdint>
@@ -45,9 +47,9 @@ struct SegmentationConfig {
   std::uint64_t seed = 89;
 };
 
-/// Segment the ADPCM encoding of a synthetic audio buffer: per-block cycle
-/// cost comes from an operation-count model of the encoder inner loop, with
-/// block sizes chosen so nominal cycles land in [min, max].
+/// Segment the ADPCM encoding workload: seeded block sizes, chosen so nominal
+/// cycles land uniformly in [min, max], priced by the operation-count model
+/// of the encoder inner loop (adpcm_cycle_cost). No audio is encoded.
 std::vector<Segment> segment_adpcm_workload(const SegmentationConfig& cfg);
 
 /// Cycle cost of encoding `samples` PCM samples (operation-count model of

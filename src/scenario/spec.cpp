@@ -44,6 +44,15 @@ std::uint64_t get_u64(const Json& j, const char* key, std::uint64_t def,
   return static_cast<std::uint64_t>(v);
 }
 
+// Seeds use all 64 bits. The encoder writes them as their two's-complement
+// int64 (JSON integers are signed here), so a negative value is a seed
+// >= 2^63 and casts back losslessly.
+std::uint64_t get_seed(const Json& j, const char* key, std::uint64_t def,
+                       const std::string& path) {
+  return static_cast<std::uint64_t>(
+      get_integer(j, key, static_cast<std::int64_t>(def), path));
+}
+
 std::size_t get_size(const Json& j, const char* key, std::size_t def,
                      const std::string& path) {
   return static_cast<std::size_t>(get_u64(j, key, def, path));
@@ -95,7 +104,7 @@ CampaignKnobs decode_campaign(const Json& j, const std::string& path) {
   expect_object(j, path);
   CampaignKnobs k;
   k.threads = static_cast<unsigned>(get_u64(j, "threads", k.threads, path));
-  if (find_member(j, "base_seed")) k.base_seed = get_u64(j, "base_seed", 0, path);
+  if (find_member(j, "base_seed")) k.base_seed = get_seed(j, "base_seed", 0, path);
   k.checkpoint = get_bool(j, "checkpoint", k.checkpoint, path);
   k.trial_deadline_ms = get_double(j, "trial_deadline_ms", k.trial_deadline_ms, path);
   k.overall_budget_ms = get_double(j, "overall_budget_ms", k.overall_budget_ms, path);
@@ -112,7 +121,7 @@ WorkloadSpec decode_workload(const Json& j, const std::string& path) {
                "find_max", "random_program"},
               path + ".name");
   w.scale = get_size(j, "scale", w.scale, path);
-  w.wseed = get_u64(j, "wseed", w.wseed, path);
+  w.wseed = get_seed(j, "wseed", w.wseed, path);
   return w;
 }
 
@@ -160,7 +169,7 @@ TasksetSpec decode_taskset(const Json& j, const std::string& path) {
   t.max_period_ms = get_double(j, "max_period_ms", t.max_period_ms, path);
   t.hi_fraction = get_double(j, "hi_fraction", t.hi_fraction, path);
   t.lo_budget_fraction = get_double(j, "lo_budget_fraction", t.lo_budget_fraction, path);
-  t.seed = get_u64(j, "seed", t.seed, path);
+  t.seed = get_seed(j, "seed", t.seed, path);
   return t;
 }
 
@@ -177,7 +186,7 @@ OsSpec decode_os(const Json& j, const std::string& path) {
   o.duration_ms = get_double(j, "duration_ms", o.duration_ms, path);
   o.tick_ms = get_double(j, "tick_ms", o.tick_ms, path);
   o.control_period_ms = get_double(j, "control_period_ms", o.control_period_ms, path);
-  o.sim_seed = get_u64(j, "sim_seed", o.sim_seed, path);
+  o.sim_seed = get_seed(j, "sim_seed", o.sim_seed, path);
   o.rl_episodes = get_size(j, "rl_episodes", o.rl_episodes, path);
   if (const Json* t = find_member(j, "tasks")) o.tasks = decode_taskset(*t, path + ".tasks");
   o.ser_lambda0_per_s = get_double(j, "ser_lambda0_per_s", o.ser_lambda0_per_s, path);
@@ -207,14 +216,14 @@ MixedCritSpec decode_mixed_crit(const Json& j, const std::string& path) {
   m.overrun_factors = get_double_array(j, "overrun_factors", m.overrun_factors, path);
   m.duration_ms = get_double(j, "duration_ms", m.duration_ms, path);
   m.tick_ms = get_double(j, "tick_ms", m.tick_ms, path);
-  m.sim_seed = get_u64(j, "sim_seed", m.sim_seed, path);
+  m.sim_seed = get_seed(j, "sim_seed", m.sim_seed, path);
   return m;
 }
 
 ReplicaDriftSpec decode_replica(const Json& j, const std::string& path) {
   expect_object(j, path);
   ReplicaDriftSpec r;
-  r.seed = get_u64(j, "seed", r.seed, path);
+  r.seed = get_seed(j, "seed", r.seed, path);
   r.jobs_per_window = get_size(j, "jobs_per_window", r.jobs_per_window, path);
   if (const Json* ph = find_member(j, "phases")) {
     if (ph->type() != Json::Type::kArray) fail(path + ".phases", "expected array");
@@ -247,7 +256,7 @@ RollbackSpec decode_rollback(const Json& j, const std::string& path) {
     }
   }
   r.runs_per_point = get_size(j, "runs_per_point", r.runs_per_point, path);
-  if (find_member(j, "base_seed")) r.base_seed = get_u64(j, "base_seed", 0, path);
+  if (find_member(j, "base_seed")) r.base_seed = get_seed(j, "base_seed", 0, path);
   r.error_probabilities =
       get_double_array(j, "error_probabilities", r.error_probabilities, path);
   return r;
@@ -256,12 +265,12 @@ RollbackSpec decode_rollback(const Json& j, const std::string& path) {
 CrossLayerSpec decode_crosslayer(const Json& j, const std::string& path) {
   expect_object(j, path);
   CrossLayerSpec c;
-  c.env_seed = get_u64(j, "env_seed", c.env_seed, path);
+  c.env_seed = get_seed(j, "env_seed", c.env_seed, path);
   c.alpha = get_double(j, "alpha", c.alpha, path);
   c.gamma = get_double(j, "gamma", c.gamma, path);
   c.epsilon = get_double(j, "epsilon", c.epsilon, path);
   c.epsilon_decay = get_double(j, "epsilon_decay", c.epsilon_decay, path);
-  c.learner_seed = get_u64(j, "learner_seed", c.learner_seed, path);
+  c.learner_seed = get_seed(j, "learner_seed", c.learner_seed, path);
   c.episodes = get_size(j, "episodes", c.episodes, path);
   c.steps_per_episode = get_size(j, "steps_per_episode", c.steps_per_episode, path);
   c.eval_episodes = get_size(j, "eval_episodes", c.eval_episodes, path);
@@ -452,7 +461,7 @@ ScenarioSpec scenario_from_json(const Json& doc) {
   ScenarioSpec spec;
   spec.name = get_string(doc, "name", spec.name, root);
   spec.description = get_string(doc, "description", spec.description, root);
-  spec.seed = get_u64(doc, "seed", spec.seed, root);
+  spec.seed = get_seed(doc, "seed", spec.seed, root);
   if (const Json* c = find_member(doc, "campaign"))
     spec.campaign = decode_campaign(*c, root + ".campaign");
   if (const Json* w = find_member(doc, "workloads")) {

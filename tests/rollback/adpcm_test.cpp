@@ -79,5 +79,24 @@ TEST(Segmentation, DeterministicPerSeed) {
     EXPECT_EQ(a[i].nominal_cycles, b[i].nominal_cycles);
 }
 
+TEST(Segmentation, MatchesPinnedCycles) {
+  // Pins the exact segment stream: every Section V result is a function of
+  // these cycle counts, so the seeded draw order must never change.
+  const auto cycles = [](const SegmentationConfig& cfg) {
+    std::vector<std::uint64_t> out;
+    for (const auto& s : segment_adpcm_workload(cfg)) out.push_back(s.nominal_cycles);
+    return out;
+  };
+  EXPECT_EQ(cycles(SegmentationConfig{}),
+            (std::vector<std::uint64_t>{79262,  150984, 232623, 115781, 147318, 111880,
+                                        91153,  199018, 201697, 126074, 232999, 84620,
+                                        162546, 73622,  47020,  222189, 222988, 165930,
+                                        117003, 220027, 168139, 195634, 157564, 226842}));
+  EXPECT_EQ(cycles(SegmentationConfig{.num_segments = 16, .seed = 31}),
+            (std::vector<std::uint64_t>{203013, 152488, 245877, 190135, 166776, 200616,
+                                        233234, 172886, 93785,  221484, 198031, 103608,
+                                        92657,  148822, 139140, 227547}));
+}
+
 }  // namespace
 }  // namespace lore::rollback

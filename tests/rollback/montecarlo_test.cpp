@@ -87,5 +87,32 @@ TEST(MonteCarlo, WallPositionFallsInsideSweptGrid) {
   EXPECT_LE(wall, cfg.error_probabilities.back());
 }
 
+TEST(MonteCarlo, MatchesPinnedResult) {
+  // Pins a small experiment bit for bit: the segment stream, the per-(point,
+  // run) error realizations and DS-ML's calibration all feed these doubles.
+  ExperimentConfig cfg;
+  cfg.error_probabilities = {1e-6, 3e-6, 1e-5};
+  cfg.runs_per_point = 8;
+  const auto result =
+      run_experiment(cfg, {SchedulerKind::kDs, SchedulerKind::kDsLearned});
+  struct Pinned {
+    double avg, sem, hit_ds, hit_learned;
+  };
+  const Pinned want[] = {
+      {0x1.6p-3, 0x1.2aaaaaaaaaaaap-5, 0x1p+0, 0x1p+0},
+      {0x1.3555555555555p-1, 0x1.97f8ab65c79bp-4, 0x1.bd55555555556p-1, 0x1p+0},
+      {0x1.fcaaaaaaaaaabp+1, 0x1.9de642ecbe413p-2, 0x1.2aaaaaaaaaaaap-5, 0x1.3555555555555p-3},
+  };
+  ASSERT_EQ(result.points.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    const auto& point = result.points[i];
+    EXPECT_EQ(point.avg_rollbacks_per_segment, want[i].avg) << "point " << i;
+    EXPECT_EQ(point.sem_rollbacks, want[i].sem) << "point " << i;
+    EXPECT_EQ(point.hit_rate.at(SchedulerKind::kDs), want[i].hit_ds) << "point " << i;
+    EXPECT_EQ(point.hit_rate.at(SchedulerKind::kDsLearned), want[i].hit_learned)
+        << "point " << i;
+  }
+}
+
 }  // namespace
 }  // namespace lore::rollback

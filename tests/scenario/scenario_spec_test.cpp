@@ -6,7 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "src/obs/json.hpp"
+#include "src/scenario/generate.hpp"
 
 namespace {
 
@@ -58,6 +62,61 @@ TEST(ScenarioSpec, RoundTripSurvivesTextSerialization) {
   const std::string text = to_json(spec).dump(2);
   const ScenarioSpec reparsed = parse_scenario(text, "roundtrip.json");
   EXPECT_EQ(text, to_json(reparsed).dump(2));
+}
+
+// Every seed field of a spec, in a fixed order (0 stands in for an unset
+// optional base seed).
+std::vector<std::uint64_t> all_seeds(const ScenarioSpec& spec) {
+  std::vector<std::uint64_t> seeds{spec.seed, spec.campaign.base_seed.value_or(0)};
+  for (const auto& w : spec.workloads) seeds.push_back(w.wseed);
+  if (spec.os) seeds.insert(seeds.end(), {spec.os->sim_seed, spec.os->tasks.seed});
+  if (spec.mixed_criticality)
+    seeds.insert(seeds.end(),
+                 {spec.mixed_criticality->sim_seed, spec.mixed_criticality->tasks.seed});
+  if (spec.replica_drift) seeds.push_back(spec.replica_drift->seed);
+  if (spec.rollback) seeds.push_back(spec.rollback->base_seed.value_or(0));
+  if (spec.crosslayer)
+    seeds.insert(seeds.end(), {spec.crosslayer->env_seed, spec.crosslayer->learner_seed});
+  return seeds;
+}
+
+TEST(ScenarioSpec, GeneratedSpecsRoundTripWithFullWidthSeeds) {
+  // Seeds are u64 written as their int64 bit pattern; seeds >= 2^63 (about
+  // half of every generated seed field) must decode back, not be rejected.
+  const ScenarioGenerator gen;
+  std::size_t high_seeds = 0;
+  for (std::size_t i = 0; i < 200; ++i) {
+    const ScenarioSpec spec = gen.at(i);
+    const std::string text = to_json(spec).dump();
+    const ScenarioSpec reparsed = parse_scenario(text, spec.name);
+    EXPECT_EQ(text, to_json(reparsed).dump()) << spec.name;
+    EXPECT_EQ(all_seeds(spec), all_seeds(reparsed)) << spec.name;
+    for (const std::uint64_t seed : all_seeds(spec)) high_seeds += seed >> 63;
+  }
+  EXPECT_GT(high_seeds, 0u) << "the sweep never exercised a seed >= 2^63";
+}
+
+TEST(ScenarioSpec, MaxSeedsRoundTrip) {
+  ScenarioSpec spec = full_spec();
+  constexpr std::uint64_t kMax = 0xFFFFFFFFFFFFFFFFull;
+  spec.seed = kMax;
+  spec.campaign.base_seed = kMax;
+  spec.workloads[0].wseed = kMax;
+  spec.os->sim_seed = spec.os->tasks.seed = kMax - 1;
+  spec.mixed_criticality->sim_seed = spec.mixed_criticality->tasks.seed = 1ull << 63;
+  spec.replica_drift->seed = kMax;
+  spec.rollback->base_seed = kMax;
+  spec.crosslayer->env_seed = spec.crosslayer->learner_seed = kMax;
+  const std::string text = to_json(spec).dump(2);
+  const ScenarioSpec reparsed = parse_scenario(text, "max_seeds.json");
+  EXPECT_EQ(text, to_json(reparsed).dump(2));
+  EXPECT_EQ(all_seeds(spec), all_seeds(reparsed));
+  EXPECT_EQ(reparsed.seed, kMax);
+}
+
+TEST(ScenarioSpec, NegativeCountsAreStillRejected) {
+  const std::string text = R"({"schema": "lore.scenario.v1", "campaign": {"threads": -1}})";
+  EXPECT_THROW(parse_scenario(text, "neg.json"), SpecError);
 }
 
 TEST(ScenarioSpec, UnknownKeysAreTolerated) {
